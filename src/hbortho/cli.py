@@ -154,7 +154,7 @@ def _cmd_structure(args) -> int:
 def _cmd_bench(args) -> int:
     phi = parse_symbol(args.symbol)
     sizes = [int(s) for s in args.sizes.split(",") if s]
-    records = structure.bench_solvers(phi, sizes)
+    records = structure.bench_solvers(phi, sizes, repeats=args.repeats)
     header = (
         "n,dense_seconds,structured_seconds,speedup,"
         "max_coeff_diff,dense_residual,structured_residual"
@@ -386,6 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="dense vs structured solver timings")
     p.add_argument("--symbol", required=True)
     p.add_argument("--sizes", required=True, help="comma separated, e.g. 64,256,1024")
+    p.add_argument("--repeats", type=int, default=1, help="best of this many timings")
     p.add_argument("--out", choices=["csv"], default="csv")
     p.add_argument("--output", default=None)
     p.set_defaults(fn=_cmd_bench)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import mpmath
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cholesky
 
 from .catalog import CatalogEntry
 from .symbol import SmirnovSymbol, SymbolLike
@@ -106,17 +106,25 @@ def gram_matrix_mp(phi: SmirnovSymbol, n: int) -> list[list[mpmath.mpc]]:
     return m
 
 
-def assert_positive_definite(gram: GramMatrix, pivot_floor: float = 0.0) -> np.ndarray:
-    """Cholesky-factor the matrix, returning the diagonal pivots.
+def cholesky_factor(entries: np.ndarray, pivot_floor: float = 0.0) -> np.ndarray:
+    """Lower Cholesky factor C of a Hermitian positive-definite M = C C^H.
 
-    Raises ``numpy.linalg.LinAlgError`` when the matrix fails to be positive
-    definite at working precision.
+    Raises ``numpy.linalg.LinAlgError`` when M is not positive definite at
+    working precision, or when a pivot C[k,k]^2 falls below ``pivot_floor``
+    times the largest one.
     """
-    factor, _ = cho_factor(gram.entries, lower=True)
+    factor = cholesky(entries, lower=True)
     pivots = np.real(np.diag(factor)) ** 2
-    if pivot_floor and pivots.min() < pivot_floor * pivots.max():
+    if pivots.min() < pivot_floor * pivots.max():
         raise np.linalg.LinAlgError("pivot collapse in Cholesky factorization")
-    return pivots
+    return factor
+
+
+def gram_defect(entries: np.ndarray, rows: np.ndarray) -> float:
+    """max |Q M Q^H - I| for the coefficient rows Q of a polynomial family."""
+    rows = np.asarray(rows, dtype=complex)
+    gram = rows @ entries @ np.conj(rows.T)
+    return float(np.max(np.abs(gram - np.eye(len(rows)))))
 
 
 def toeplitz_conj_apply(phi: SymbolLike, p: np.ndarray) -> np.ndarray:
@@ -182,25 +190,8 @@ def kernel_truncation_check(
 
 def orthonormality_defect(phi: SymbolLike, polys: list[np.ndarray]) -> float:
     """max_{i,j} |<p_i, p_j> - delta_{i,j}| over a family of polynomials."""
-    worst = 0.0
     n = max(len(p) for p in polys) - 1
-    gm = gram_matrix(phi, n)
+    rows = np.zeros((len(polys), n + 1), dtype=complex)
     for i, p in enumerate(polys):
-        for j, q in enumerate(polys[: i + 1]):
-            val = gm.quadratic_form(p, q)
-            worst = max(worst, abs(val - (1.0 if i == j else 0.0)))
-    return worst
-
-
-def solve_system_cholesky(entries: np.ndarray, rhs: np.ndarray, pivot_floor: float):
-    """Solve conj(M) u = rhs for Hermitian positive-definite M.
-
-    Uses M conj(u) = conj(rhs) so a single Cholesky factorization of M serves.
-    Returns (u, pivots); raises LinAlgError when M is not numerically PD.
-    """
-    factor = cho_factor(entries, lower=True)
-    pivots = np.real(np.diag(factor[0])) ** 2
-    if pivots.min() < pivot_floor * pivots.max():
-        raise np.linalg.LinAlgError("pivot collapse in Cholesky factorization")
-    u = np.conj(cho_solve(factor, np.conj(rhs)))
-    return u, pivots
+        rows[i, : len(p)] = p
+    return gram_defect(gram_matrix(phi, n).entries, rows)

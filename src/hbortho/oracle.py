@@ -1,16 +1,17 @@
-"""Brute-force orthonormal polynomials: solve the Gram system per degree.
+"""Brute-force orthonormal polynomials from one Cholesky factor of the Gram matrix.
 
-The degree-n orthonormal polynomial p_n = sum c_k z^k is pinned down by
+Write a polynomial as the coefficient row c, so <p, q> = c M conj(d)^T with M
+the Gram matrix of the monomials.  For M = C C^H with C lower triangular and a
+positive diagonal, the rows of Q = C^{-1} satisfy Q M Q^H = I, row k has
+degree k and its leading entry 1/C[k,k] is real positive: row k of C^{-1} is
+the orthonormal polynomial p_k (Gram-Schmidt on the monomials, done by a
+factorization instead of sequential projections, which lose orthogonality
+catastrophically at these condition numbers).
 
-    <p_n, z^k> = 0   (k < n),      ||p_n|| = 1,      c_n > 0.
-
-Writing the normalization through a positive mute variable t = 1/c_n, the
-vector c solves  conj(M) c = t e_n  with M the Gram matrix.  We solve once at
-t = 1, getting u with u_n real positive (it is a diagonal entry of an inverse
-of a positive-definite matrix), and rescale: c = u / sqrt(u_n).
-
-Per-degree bordered solves are used instead of sequential Gram-Schmidt, which
-loses orthogonality catastrophically at these condition numbers.
+Every request factors M once: a single p_n is one triangular solve with C^T,
+a whole basis is the triangular inverse, taken as C^{-T} so that each p_k is
+the same solve.  The orthonormality residual max |Q M Q^H - I| is always
+computed from the Gram entries, never from C.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 
 import mpmath
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from . import gram as gram_mod
 from .backends import resolve_precision, workprec
@@ -26,9 +28,6 @@ from .symbol import SmirnovSymbol, SymbolLike, rotate_symbol
 
 #: relative pivot threshold that flags a double-precision factorization as unusable
 PIVOT_BREAKDOWN_RATIO = 1e-13
-
-#: tolerance (relative to ||u||) for the imaginary part of the normalizing entry
-POSITIVITY_TOL = 1e-12
 
 
 class NumericalBreakdown(ArithmeticError):
@@ -85,76 +84,54 @@ def orthopoly(phi: SymbolLike, n: int, precision: str | None = None) -> OrthoPol
         return _orthopoly_hp(phi, n)
 
 
-def _orthopoly_f64(phi: SymbolLike, n: int) -> OrthoPoly:
-    m = gram_mod.gram_matrix(phi, n)
-    rhs = np.zeros(n + 1, dtype=complex)
-    rhs[n] = 1.0
+def _factor_f64(m: gram_mod.GramMatrix) -> np.ndarray:
     try:
-        u, _ = gram_mod.solve_system_cholesky(m.entries, rhs, PIVOT_BREAKDOWN_RATIO)
+        return gram_mod.cholesky_factor(m.entries, PIVOT_BREAKDOWN_RATIO)
     except np.linalg.LinAlgError as exc:
         raise NumericalBreakdown(str(exc)) from exc
-    return OrthoPoly(n, _normalize(u))
 
 
-def _normalize(u: np.ndarray) -> np.ndarray:
-    un = u[-1]
-    if abs(un.imag) > POSITIVITY_TOL * np.linalg.norm(u) or un.real <= 0:
-        raise NumericalBreakdown(
-            f"normalizing entry {un} is not real positive at working precision"
-        )
-    return u / np.sqrt(un.real)
+def _orthopoly_f64(phi: SymbolLike, n: int) -> OrthoPoly:
+    m = gram_mod.gram_matrix(phi, n)
+    e_n = np.zeros(n + 1)
+    e_n[n] = 1.0
+    # row n of C^{-1}, i.e. the solution of C^T x = e_n
+    return OrthoPoly(n, solve_triangular(_factor_f64(m), e_n, lower=True, trans="T"))
 
 
 def _orthopoly_hp(phi: SymbolLike, n: int) -> OrthoPoly:
     if not isinstance(phi, SmirnovSymbol):
         raise TypeError("the high-precision path needs a SmirnovSymbol")
     with workprec():
-        m = gram_mod.gram_matrix_mp(phi, n)
-        lower = _cholesky_mp(m)
-        coeffs = _hp_solve_degree(lower, n)
-        f64 = np.array([complex(c) for c in coeffs], dtype=complex)
-    return OrthoPoly(n, f64, hp_coefficients=tuple(coeffs))
+        lower = _cholesky_mp(gram_mod.gram_matrix_mp(phi, n))
+        return _inverse_row_mp(lower, n)
+
+
+def _inverse_row_mp(lower: list[list[mpmath.mpc]], k: int) -> OrthoPoly:
+    """p_k: row k of C^{-1}, by back substitution on C^T x = e_k."""
+    x = [mpmath.mpc(0)] * (k + 1)
+    for i in range(k, -1, -1):
+        acc = mpmath.fdot((lower[j][i] for j in range(i + 1, k + 1)), x[i + 1 :])
+        x[i] = ((1 if i == k else 0) - acc) / lower[i][i]
+    f64 = np.array([complex(c) for c in x], dtype=complex)
+    return OrthoPoly(k, f64, hp_coefficients=tuple(mpmath.mpc(c) for c in x))
 
 
 def _cholesky_mp(m: list[list[mpmath.mpc]]) -> list[list[mpmath.mpc]]:
-    n = len(m)
-    lower = [[mpmath.mpc(0)] * n for _ in range(n)]
-    for i in range(n):
+    """Lower Cholesky factor as rows: row i holds C[i, 0..i]."""
+    lower: list[list[mpmath.mpc]] = []
+    for i in range(len(m)):
+        row: list[mpmath.mpc] = []
+        lower.append(row)
         for j in range(i + 1):
-            acc = m[i][j]
-            for k in range(j):
-                acc -= lower[i][k] * mpmath.conj(lower[j][k])
+            acc = m[i][j] - mpmath.fdot(row, lower[j][:j], conjugate=True)
             if i == j:
                 if mpmath.re(acc) <= 0:
                     raise DegenerateSystem("nonpositive pivot in hp Cholesky")
-                lower[i][j] = mpmath.sqrt(mpmath.re(acc))
+                row.append(mpmath.sqrt(mpmath.re(acc)))
             else:
-                lower[i][j] = acc / lower[j][j]
+                row.append(acc / lower[j][j])
     return lower
-
-
-def _hp_solve_degree(lower, k: int) -> list[mpmath.mpc]:
-    """Solve conj(M_k) u = e_k using the leading block of the hp factor."""
-    # M x = e_k by forward/back substitution, then u = conj(x)
-    y = [mpmath.mpc(0)] * (k + 1)
-    for i in range(k + 1):
-        acc = mpmath.mpc(1) if i == k else mpmath.mpc(0)
-        for j in range(i):
-            acc -= lower[i][j] * y[j]
-        y[i] = acc / lower[i][i]
-    x = [mpmath.mpc(0)] * (k + 1)
-    for i in range(k, -1, -1):
-        acc = y[i]
-        for j in range(i + 1, k + 1):
-            acc -= mpmath.conj(lower[j][i]) * x[j]
-        x[i] = acc / lower[i][i]
-    u = [mpmath.conj(v) for v in x]
-    un = u[k]
-    scale = mpmath.sqrt(mpmath.fsum(abs(v) ** 2 for v in u))
-    if abs(mpmath.im(un)) > mpmath.mpf(POSITIVITY_TOL) * scale or mpmath.re(un) <= 0:
-        raise DegenerateSystem(f"normalizing entry {un} is not real positive")
-    root = mpmath.sqrt(mpmath.re(un))
-    return [v / root for v in u]
 
 
 def orthobasis(phi: SymbolLike, n: int, precision: str | None = None) -> OrthoBasis:
@@ -174,28 +151,11 @@ def orthobasis(phi: SymbolLike, n: int, precision: str | None = None) -> OrthoBa
 
 def _orthobasis_f64(phi: SymbolLike, n: int) -> OrthoBasis:
     m = gram_mod.gram_matrix(phi, n)
-    polys = []
-    for k in range(n + 1):
-        rhs = np.zeros(k + 1, dtype=complex)
-        rhs[k] = 1.0
-        try:
-            u, _ = gram_mod.solve_system_cholesky(
-                m.entries[: k + 1, : k + 1], rhs, PIVOT_BREAKDOWN_RATIO
-            )
-        except np.linalg.LinAlgError as exc:
-            raise NumericalBreakdown(str(exc)) from exc
-        polys.append(OrthoPoly(k, _normalize(u)))
-    residual = _residual_f64(m, polys)
-    return OrthoBasis(tuple(polys), phi, "f64", residual)
-
-
-def _residual_f64(m: gram_mod.GramMatrix, polys: list[OrthoPoly]) -> float:
-    worst = 0.0
-    for i, p in enumerate(polys):
-        for j in range(i + 1):
-            val = m.quadratic_form(p.coefficients, polys[j].coefficients)
-            worst = max(worst, abs(val - (1.0 if i == j else 0.0)))
-    return worst
+    # rows of C^{-1} as the solutions of C^T x = e_k, like orthopoly: these keep
+    # the per-degree accuracy that forward substitution on the columns loses
+    q = solve_triangular(_factor_f64(m), np.eye(n + 1), lower=True, trans="T").T
+    polys = tuple(OrthoPoly(k, q[k, : k + 1]) for k in range(n + 1))
+    return OrthoBasis(polys, phi, "f64", gram_mod.gram_defect(m.entries, q))
 
 
 def _orthobasis_hp(phi: SymbolLike, n: int) -> OrthoBasis:
@@ -204,38 +164,20 @@ def _orthobasis_hp(phi: SymbolLike, n: int) -> OrthoBasis:
     with workprec():
         m = gram_mod.gram_matrix_mp(phi, n)
         lower = _cholesky_mp(m)
-        all_coeffs = [_hp_solve_degree(lower, k) for k in range(n + 1)]
-        worst = _residual_hp(m, all_coeffs)
-        polys = tuple(
-            OrthoPoly(
-                k,
-                np.array([complex(c) for c in coeffs], dtype=complex),
-                hp_coefficients=tuple(coeffs),
-            )
-            for k, coeffs in enumerate(all_coeffs)
-        )
-        residual = float(worst)
+        polys = tuple(_inverse_row_mp(lower, k) for k in range(n + 1))
+        residual = float(_residual_hp(m, [p.hp_coefficients for p in polys]))
     return OrthoBasis(polys, phi, "hp", residual)
 
 
-def _residual_hp(m, all_coeffs) -> mpmath.mpf:
+def _residual_hp(m, rows) -> mpmath.mpf:
+    """max |Q M Q^H - I| over the lower triangle, from the Gram entries."""
     worst = mpmath.mpf(0)
-    for i, p in enumerate(all_coeffs):
-        # v = conj(M)^T action: w_s = sum_r p_r m[r][s]
-        w = []
-        for s in range(i + 1):
-            acc = mpmath.mpc(0)
-            for r in range(i + 1):
-                acc += p[r] * m[r][s]
-            w.append(acc)
-        for j in range(i + 1):
-            q = all_coeffs[j]
-            val = mpmath.fsum(
-                (w[s] * mpmath.conj(q[s]) for s in range(min(i, j) + 1)),
-                absolute=False,
-            )
-            target = 1 if i == j else 0
-            worst = max(worst, abs(val - target))
+    for i, p in enumerate(rows):
+        # w = p M[:i+1, :i+1]; column s of M is conj(row s) by Hermitian symmetry
+        w = [mpmath.fdot(p, m[s][: i + 1], conjugate=True) for s in range(i + 1)]
+        for j, q in enumerate(rows[: i + 1]):
+            val = mpmath.fdot(w[: j + 1], q, conjugate=True)
+            worst = max(worst, abs(val - (1 if i == j else 0)))
     return worst
 
 

@@ -153,7 +153,7 @@ def coefficients_via_recurrence(
     """
     if n < 2:
         phi = SmirnovSymbol(data.A, (PoleTerm(1.0, 1, data.B),))
-        return oracle_mod.orthopoly(phi, n, precision="f64")
+        return oracle_mod.orthopoly(phi, n, precision=precision)
     if data.case_tag == CASE_DEGENERATE:
         basis = rational_ab_basis(RationalABForm(data.A, data.B), n)
         return basis.polys[n]

@@ -63,24 +63,6 @@ def apply_shift_reduction(mat, d: int) -> np.ndarray:
     return out
 
 
-def shift_reduction_binomial(mat, d: int) -> np.ndarray:
-    """Same reduction as binomial-weighted row combinations (test oracle).
-
-    Row k of the result is sum_i (-1)^i C(d, i) R_{k+i}, truncated at the
-    last row; kept as an independent route for the difference passes.
-    """
-    if isinstance(mat, gram_mod.GramMatrix):
-        src = mat.system_matrix()
-    else:
-        src = np.asarray(mat, dtype=complex)
-    n1 = src.shape[0]
-    out = np.zeros_like(src)
-    for k in range(n1):
-        for i in range(min(d, n1 - 1 - k) + 1):
-            out[k] += (-1) ** i * math.comb(d, i) * src[k + i]
-    return out
-
-
 @dataclass(frozen=True)
 class StructureReport:
     """Measured reduction structure for one symbol at one size.

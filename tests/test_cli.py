@@ -143,6 +143,25 @@ class TestBenchCommand:
         assert lines[0].startswith("n,dense_seconds,structured_seconds")
         assert len(lines) == 3
 
+    def test_repeats(self, capsys, monkeypatch):
+        from hbortho import structure
+
+        seen = []
+        real = structure.bench_solvers
+
+        def spy(phi, sizes, **kwargs):
+            seen.append(kwargs)
+            return real(phi, sizes, **kwargs)
+
+        monkeypatch.setattr(structure, "bench_solvers", spy)
+        code, out, _ = run_cli(
+            capsys,
+            ["bench", "--symbol", "0;(1,1,1)", "--sizes", "16", "--repeats", "2"],
+        )
+        assert code == 0
+        assert seen == [{"repeats": 2}]
+        assert len(out.strip().splitlines()) == 2
+
 
 class TestCatalogCommand:
     def test_listing(self, capsys):

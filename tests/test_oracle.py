@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -20,7 +21,10 @@ from hbortho import (
     rotate_symbol,
     sarason_symbol,
 )
+from hbortho import gram as gram_mod
 from hbortho.backends import resolve_precision
+
+TWO_POLES = SmirnovSymbol(0.3 - 0.1j, (PoleTerm(1.0, 1, 1.0), PoleTerm(-1.0, 2, 0.5j)))
 
 
 def exact_unit_pole_solution():
@@ -141,6 +145,68 @@ class TestOrthobasis:
             basis.symbol, [p.coefficients for p in basis.polys]
         )
         assert abs(defect - basis.residual) < 1e-12
+
+
+def lu_reference_basis(phi, n):
+    """p_0..p_n in mpmath: Gram entries from the defining sum, one LU solve per degree."""
+    c = phi.taylor_mp(n + 1)
+    gram = mpmath.matrix(n + 1, n + 1)
+    for j in range(n + 1):
+        for k in range(j, n + 1):
+            val = mpmath.fsum(mpmath.conj(c[s]) * c[k - j + s] for s in range(j + 1))
+            gram[j, k] = val + (1 if j == k else 0)
+            gram[k, j] = mpmath.conj(gram[j, k])
+    polys = []
+    for k in range(n + 1):
+        # <p, z^i> = 0 for i < k:  conj(M_k) u = e_k, then scale to unit norm
+        system = mpmath.matrix([[mpmath.conj(gram[i, j]) for j in range(k + 1)]
+                                for i in range(k + 1)])
+        rhs = mpmath.matrix([1 if i == k else 0 for i in range(k + 1)])
+        u = mpmath.lu_solve(system, rhs)
+        polys.append([u[i] / mpmath.sqrt(mpmath.re(u[k])) for i in range(k + 1)])
+    return polys
+
+
+class TestOneFactor:
+    def test_basis_factors_once(self, monkeypatch):
+        calls = []
+        real = gram_mod.cholesky_factor
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(gram_mod, "cholesky_factor", counting)
+        orthobasis(blaschke_symbol(0.5), 40, precision="f64")
+        assert calls == [(41, 41)]
+        orthopoly(blaschke_symbol(0.5), 40, precision="f64")
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("precision,n", [("f64", 24), ("hp", 12)])
+    def test_basis_rows_match_single_polys(self, entries, precision, n):
+        for phi in [e.phi for e in entries] + [TWO_POLES]:
+            basis = orthobasis(phi, n, precision=precision)
+            for k, p in enumerate(basis.polys):
+                single = orthopoly(phi, k, precision=precision)
+                ref = single.coefficients
+                assert p.degree == k
+                assert np.max(np.abs(p.coefficients - ref)) <= 1e-10 * np.max(np.abs(ref))
+                if precision == "hp":
+                    with mpmath.workprec(160):
+                        diff = max(
+                            abs(x - y)
+                            for x, y in zip(p.hp_coefficients, single.hp_coefficients)
+                        )
+                    assert diff < mpmath.mpf("1e-40")
+
+    def test_hp_basis_matches_lu_reference(self, entries):
+        for phi in [e.phi for e in entries] + [TWO_POLES]:
+            basis = orthobasis(phi, 10, precision="hp")
+            with mpmath.workprec(160):
+                ref = lu_reference_basis(phi, 10)
+                for p, r in zip(basis.polys, ref):
+                    diff = max(abs(x - y) for x, y in zip(p.hp_coefficients, r))
+                    assert diff < mpmath.mpf("1e-30")
 
 
 class TestPrecisionPolicy:

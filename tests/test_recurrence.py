@@ -181,6 +181,17 @@ class TestCoefficients:
                 assert diff < mpmath.mpf("1e-20")
             done += 1
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_low_degree_keeps_hp(self, n):
+        # degrees below the recurrence fall through to the oracle, in hp too
+        data = build_recurrence(0.5, 1.0)
+        p = coefficients_via_recurrence(data, n, precision="hp")
+        ref = orthopoly(ab_symbol(0.5, 1.0), n, precision="hp")
+        assert p.hp_coefficients is not None
+        with mpmath.workprec(160):
+            diff = max(abs(x - y) for x, y in zip(p.hp_coefficients, ref.hp_coefficients))
+            assert diff < mpmath.mpf("1e-40")
+
 
 class TestDoubleRootBranch:
     """No admissible (A, B) reaches the double-root case (discriminant floor),

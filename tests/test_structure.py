@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -17,12 +18,22 @@ from hbortho import (
     sarason_symbol,
     structured_solve,
 )
-from hbortho.structure import (
-    _system_row,
-    gram_matvec,
-    shift_reduction_binomial,
-    system_residual,
-)
+from hbortho.structure import _system_row, gram_matvec, system_residual
+
+
+def shift_reduction_binomial(mat, d: int) -> np.ndarray:
+    """Same reduction as binomial-weighted row combinations.
+
+    Row k of the result is sum_i (-1)^i C(d, i) R_{k+i}, truncated at the
+    last row; an independent route for the difference passes.
+    """
+    src = np.asarray(mat, dtype=complex)
+    n1 = src.shape[0]
+    out = np.zeros_like(src)
+    for k in range(n1):
+        for i in range(min(d, n1 - 1 - k) + 1):
+            out[k] += (-1) ** i * math.comb(d, i) * src[k + i]
+    return out
 
 
 def double_pole_symbol(r0, r1, r2):
