@@ -1,45 +1,62 @@
 """Precision backends for the numerical kernels.
 
-Two backends are supported:
+* ``"f64"`` -- IEEE double precision through numpy/scipy, the fast path.
+* ``"hp"``  -- software floating point through mpmath, 160 bits of mantissa.
 
-* ``"f64"`` -- IEEE double precision through numpy/scipy.  This is the fast
-  path and the default for moderate degrees.
-* ``"hp"``  -- software floating point through mpmath with at least 128 bits
-  of mantissa (160 by default).  Gram systems become ill-conditioned as the
-  degree grows, so every solver can be re-run on this backend when the double
-  path reports a breakdown.
-
-The environment variable ``HB_PRECISION`` overrides the automatic default
-used by the CLI ("f64" or "hp").
+An explicit tag, or else ``HB_PRECISION`` ("f64" or "hp"), selects the
+backend.  Without either the request is *automatic* and its conditioning, not
+its degree, decides.  The Gram matrix is M = I + L L^H (L the Toeplitz matrix
+of phi_0 .. phi_n), so lambda_min(M) >= 1 and cond(M) <= ``cond_bound`` =
+1 + (sum_k |phi_k|)^2.  A Cholesky solve loses about eps * cond(M) (Higham,
+*Accuracy and Stability of Numerical Algorithms*, 2nd ed., ch. 10), so an
+automatic request runs in f64 when eps * cond_bound <= ``AUTO_F64_TOL`` and
+in hp above; the oracle checks each such f64 result against the same
+tolerance and recomputes it in hp if the check fails.
 """
 
 from __future__ import annotations
 
+import math
 import os
 
 import mpmath
+import numpy as np
 
 HP_PREC_BITS = 160
 
-#: degree above which the automatic policy switches from "f64" to "hp"
-AUTO_HP_DEGREE = 32
-
 VALID_TAGS = ("f64", "hp")
 
+F64_EPS = float(np.finfo(np.float64).eps)
 
-def resolve_precision(tag: str | None, n: int) -> str:
-    """Turn a user supplied precision tag into a concrete backend name.
+#: an automatic request runs in f64 only when eps * cond_bound is at most this
+#: (cond_bound <= 4.5e7), and its f64 residual must be at most this as well
+AUTO_F64_TOL = 1e-8
 
-    ``None`` selects the automatic policy: double precision up to degree
-    ``AUTO_HP_DEGREE``, high precision above, unless ``HB_PRECISION`` is set.
-    """
+
+def cond_bound(phi, n: int) -> float:
+    """O(n) upper bound 1 + (sum_{k<=n} |phi_k|)^2 on cond(M) of the
+    (n+1) x (n+1) Gram matrix: ||L||_2^2 <= ||L||_1 ||L||_inf for the Toeplitz L."""
+    total = float(np.sum(np.abs(phi.taylor(n + 1))))
+    return 1.0 + total * total  # a float ** 2 would raise OverflowError, not give inf
+
+
+def requested_precision(tag: str | None) -> str | None:
+    """The backend asked for by ``tag`` or else ``HB_PRECISION``; None if automatic."""
     if tag is None:
         tag = os.environ.get("HB_PRECISION")
-    if tag is None:
-        return "f64" if n <= AUTO_HP_DEGREE else "hp"
-    if tag not in VALID_TAGS:
+    if tag is not None and tag not in VALID_TAGS:
         raise ValueError(f"unknown precision tag {tag!r}; expected one of {VALID_TAGS}")
     return tag
+
+
+def auto_precision(cond: float) -> str:
+    """Backend of an automatic request whose Gram matrix has cond(M) <= cond."""
+    return "f64" if F64_EPS * cond <= AUTO_F64_TOL else "hp"
+
+
+def resolve_precision(tag: str | None, cond: float = math.inf) -> str:
+    """Concrete backend for ``tag``; automatic for cond(M) <= ``cond`` (unknown: "hp")."""
+    return requested_precision(tag) or auto_precision(cond)
 
 
 def workprec():

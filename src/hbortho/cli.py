@@ -355,7 +355,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("basis", help="orthonormal basis via the dense oracle")
     p.add_argument("--symbol", required=True, help='symbol text, e.g. "-1;(2,1,1)"')
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--precision", choices=["f64", "hp"], default=None)
+    p.add_argument(
+        "--precision", choices=["f64", "hp"], default=None,
+        help="backend (default: HB_PRECISION if set, else f64 when the conditioning bound "
+        "allows it, verified to residual 1e-8 and recomputed in hp if it fails)",
+    )
     p.add_argument("--out", choices=["json", "csv"], default="json")
     p.add_argument("--output", default=None, help="path (default: stdout)")
     p.set_defaults(fn=_cmd_basis)

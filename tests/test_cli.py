@@ -55,6 +55,19 @@ class TestBasisCommand:
         payload = json.loads(path.read_text())
         assert len(payload) == 3
 
+    def test_automatic_precision_above_degree_32(self, capsys):
+        argv = ["basis", "--symbol", "0;(1,1,1)", "--n", "40"]
+        _, out1, _ = run_cli(capsys, argv)
+        _, out2, _ = run_cli(capsys, argv)
+        assert out1 == out2
+        auto = json.loads(out1)
+        assert all(p["residual"] <= 1e-8 for p in auto)
+        _, out_hp, _ = run_cli(capsys, argv + ["--precision", "hp"])
+        for pa, ph in zip(auto, json.loads(out_hp), strict=True):
+            ca = np.array([c["re"] + 1j * c["im"] for c in pa["coefficients"]])
+            ch = np.array([c["re"] + 1j * c["im"] for c in ph["coefficients"]])
+            assert np.max(np.abs(ca - ch)) <= 1e-10 * np.max(np.abs(ch))
+
 
 class TestGramCommand:
     def test_json(self, capsys):

@@ -22,7 +22,9 @@ from hbortho import (
     sarason_symbol,
 )
 from hbortho import gram as gram_mod
-from hbortho.backends import resolve_precision
+from hbortho import oracle as oracle_mod
+from hbortho.backends import AUTO_F64_TOL, F64_EPS, auto_precision, cond_bound, resolve_precision
+from hbortho.oracle import OrthoBasis, OrthoPoly
 
 TWO_POLES = SmirnovSymbol(0.3 - 0.1j, (PoleTerm(1.0, 1, 1.0), PoleTerm(-1.0, 2, 0.5j)))
 
@@ -91,6 +93,17 @@ class TestOrthopoly:
     def test_degree_validation(self):
         with pytest.raises(ValueError):
             orthopoly(sarason_symbol(), -1)
+
+    def test_system_residual_matches_gram_entries(self):
+        for phi in (sarason_symbol(), TWO_POLES):
+            p = orthopoly(phi, 30, precision="f64")
+            c = p.coefficients * (1 + 1e-7)  # residual far above rounding
+            mc = np.conj(gram_matrix(phi, 30).entries) @ c
+            target = np.zeros(31)
+            target[30] = 1 / c[30].real
+            ref = np.max(np.abs(mc - target)) / (np.max(np.abs(mc)) + 1)
+            got = oracle_mod._system_residual(phi, OrthoPoly(30, c))
+            assert abs(got - ref) <= 1e-6 * ref
 
     def test_breakdown_on_absurd_stream(self):
         # an exponentially growing coefficient stream wrecks the conditioning
@@ -210,9 +223,20 @@ class TestOneFactor:
 
 
 class TestPrecisionPolicy:
-    def test_auto_switches_by_degree(self):
-        assert resolve_precision(None, 16) == "f64"
-        assert resolve_precision(None, 64) == "hp"
+    def test_auto_switches_by_conditioning(self):
+        phi = sarason_symbol()  # catalog m = 1: cond_bound(phi, 64) = 1 + 129^2
+        assert auto_precision(cond_bound(phi, 64)) == "f64"
+        auto = orthopoly(phi, 64)
+        assert auto.hp_coefficients is None
+        assert np.array_equal(auto.coefficients, orthopoly(phi, 64, precision="f64").coefficients)
+        basis = orthobasis(phi, 64)
+        assert basis.precision == "f64"
+        assert max_basis_diff(basis, orthobasis(phi, 64, precision="f64")) == 0.0
+        # order 3 at degree 10 is already past the switch: phi_k ~ 15 k^2
+        phi = SmirnovSymbol(0.0, (PoleTerm(1.0, 3, 30.0),))
+        assert F64_EPS * cond_bound(phi, 10) > AUTO_F64_TOL
+        assert orthopoly(phi, 10).hp_coefficients is not None
+        assert orthobasis(phi, 10).precision == "hp"
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("HB_PRECISION", "hp")
@@ -231,6 +255,74 @@ class TestPrecisionPolicy:
         p = orthopoly(sarason_symbol(), 3, precision="hp")
         assert p.hp_coefficients is not None
         assert abs(complex(p.hp_coefficients[3]) - 0.5) < 1e-30
+
+
+def spoiled_poly(phi, n, route=oracle_mod._orthopoly_f64):
+    """An f64 orthopoly route whose result is 1e-6 off."""
+    return OrthoPoly(n, route(phi, n).coefficients * (1 + 1e-6))
+
+
+def spoiled_basis(phi, n, route=oracle_mod._orthobasis_f64):
+    """An f64 orthobasis route whose rows are 1e-6 off, with their true defect."""
+    rows = [p.coefficients * (1 + 1e-6) for p in route(phi, n).polys]
+    polys = tuple(OrthoPoly(k, c) for k, c in enumerate(rows))
+    return OrthoBasis(polys, phi, "f64", orthonormality_defect(phi, rows))
+
+
+SPOILED = {"orthopoly": ("_orthopoly_f64", spoiled_poly), "orthobasis": ("_orthobasis_f64", spoiled_basis)}
+ENTRY_POINTS = {"orthopoly": orthopoly, "orthobasis": orthobasis}
+
+
+def polys(result):
+    return getattr(result, "polys", (result,))
+
+
+def same(a, b):
+    """Bit-identical coefficients, polynomial by polynomial."""
+    pairs = zip(polys(a), polys(b), strict=True)
+    return all(np.array_equal(p.coefficients, q.coefficients) for p, q in pairs)
+
+
+@pytest.mark.parametrize("entry_point", sorted(ENTRY_POINTS))
+class TestAutomaticVerification:
+    """An automatic f64 result is kept only if its residual is at most 1e-8."""
+
+    def spoil(self, monkeypatch, entry_point):
+        route, spoiled = SPOILED[entry_point]
+        monkeypatch.setattr(oracle_mod, route, spoiled)
+        return ENTRY_POINTS[entry_point]
+
+    def test_stream_returns_verified_f64(self, entry_point):
+        # the stream of 2/(1-z) - 1; degree 40 used to be sent to hp, which raised TypeError
+        stream = TaylorStream(lambda k: 1.0 if k == 0 else 2.0, label="sarason")
+        solve = ENTRY_POINTS[entry_point]
+        assert same(solve(stream, 40), solve(sarason_symbol(), 40, precision="f64"))
+
+    def test_failed_check_escalates_to_hp(self, monkeypatch, entry_point):
+        solve = self.spoil(monkeypatch, entry_point)
+        assert same(solve(sarason_symbol(), 12), solve(sarason_symbol(), 12, precision="hp"))
+
+    def test_requested_f64_is_returned_unchecked(self, monkeypatch, entry_point):
+        spoiled = SPOILED[entry_point][1](sarason_symbol(), 12)
+        solve = self.spoil(monkeypatch, entry_point)
+        assert same(solve(sarason_symbol(), 12, precision="f64"), spoiled)
+        monkeypatch.setenv("HB_PRECISION", "f64")
+        assert same(solve(sarason_symbol(), 12), spoiled)
+
+    def test_env_hp_forces_hp(self, monkeypatch, entry_point):
+        solve = self.spoil(monkeypatch, entry_point)
+        monkeypatch.setenv("HB_PRECISION", "hp")
+        assert all(p.hp_coefficients is not None for p in polys(solve(sarason_symbol(), 4)))
+
+    def test_failed_check_on_stream_raises(self, monkeypatch, entry_point):
+        solve = self.spoil(monkeypatch, entry_point)
+        with pytest.raises(NumericalBreakdown, match=r"residual .* exceeds 1e-08 \(cond_bound"):
+            solve(sarason_symbol().stream(), 12)
+
+    def test_breakdown_on_stream_raises(self, entry_point):
+        stream = TaylorStream(lambda n: 10.0 ** (2 * n), label="blowup")
+        with pytest.raises(NumericalBreakdown, match="cond_bound"):
+            ENTRY_POINTS[entry_point](stream, 24)
 
 
 class TestRotationTransport:
