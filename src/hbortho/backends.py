@@ -3,6 +3,11 @@
 * ``"f64"`` -- IEEE double precision through numpy/scipy, the fast path.
 * ``"hp"``  -- software floating point through mpmath, 160 bits of mantissa.
 
+"hp" runs the same code as "f64" wherever numpy allows it: the Gram assembly
+and the closed forms of the recurrence take their arithmetic from their
+numbers (complex128, or ``mpmath.mpc`` in object arrays), and ``solve_small``
+solves border systems of any element type.
+
 An explicit tag, or else ``HB_PRECISION`` ("f64" or "hp"), selects the
 backend.  Without either the request is *automatic* and its conditioning, not
 its degree, decides.  The Gram matrix is M = I + L L^H (L the Toeplitz matrix
@@ -62,6 +67,35 @@ def resolve_precision(tag: str | None, cond: float = math.inf) -> str:
 def workprec():
     """mpmath working-precision context for the "hp" backend."""
     return mpmath.workprec(HP_PREC_BITS)
+
+
+def solve_small(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve a x = b by Gaussian elimination with partial pivoting, in the
+    arithmetic of the arrays' element type (numpy.linalg takes neither
+    clongdouble nor mpmath numbers).
+
+    Meant for the few-by-few border systems; there is no singularity
+    threshold, only an exact zero pivot raises ``numpy.linalg.LinAlgError``.
+    """
+    m = a.copy()
+    rhs = b.copy()
+    size = m.shape[0]
+    for col in range(size):
+        piv = col + int(np.argmax(np.abs(m[col:, col])))
+        if m[piv, col] == 0:
+            raise np.linalg.LinAlgError("exact zero pivot")
+        if piv != col:
+            m[[col, piv]] = m[[piv, col]]
+            rhs[[col, piv]] = rhs[[piv, col]]
+        for r in range(col + 1, size):
+            f = m[r, col] / m[col, col]
+            if f != 0:
+                m[r, col:] -= f * m[col, col:]
+                rhs[r] -= f * rhs[col]
+    x = np.zeros(size, dtype=m.dtype)
+    for r in range(size - 1, -1, -1):
+        x[r] = (rhs[r] - m[r, r + 1 :] @ x[r + 1 :]) / m[r, r]
+    return x
 
 
 def to_mpc(z) -> mpmath.mpc:

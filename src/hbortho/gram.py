@@ -15,12 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 from scipy.linalg import cholesky
+from scipy.signal import fftconvolve
 
 from .catalog import CatalogEntry
-from .symbol import SmirnovSymbol, SymbolLike
+from .symbol import SymbolLike
 
 
 def monomial_inner(phi: SymbolLike, j: int, k: int) -> complex:
@@ -68,52 +68,47 @@ class GramMatrix:
 
 
 def gram_matrix(phi: SymbolLike, n: int) -> GramMatrix:
-    """Assemble the (n+1) x (n+1) Gram matrix of z^0 .. z^n.
-
-    Work is O(n^2): along the diagonal at offset d the lemma sum telescopes,
-    so each diagonal is a single cumulative sum of conj(phi_s) phi_{s+d}.
-    Summation order within a diagonal is fixed, which keeps results
-    bit-identical no matter how assembly is scheduled.
-    """
+    """Assemble the (n+1) x (n+1) Gram matrix of z^0 .. z^n."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    coeffs = phi.taylor(n + 1)
-    m = np.zeros((n + 1, n + 1), dtype=complex)
+    return GramMatrix(gram_entries(np.asarray(phi.taylor(n + 1), dtype=complex)), phi)
+
+
+def gram_entries(coeffs: np.ndarray) -> np.ndarray:
+    """Gram entries <z^j, z^k> from the Taylor coefficients phi_0 .. phi_n.
+
+    The element type of ``coeffs`` is the arithmetic: complex128, or an
+    object array of ``mpmath.mpc`` (call inside workprec).  Work is O(n^2):
+    along the diagonal at offset d the lemma sum telescopes, so each diagonal
+    is a single cumulative sum of conj(phi_s) phi_{s+d}.  Summation order
+    within a diagonal is fixed, which keeps results bit-identical no matter
+    how assembly is scheduled.
+    """
+    n1 = len(coeffs)
+    m = np.zeros((n1, n1), dtype=coeffs.dtype)
     conj_coeffs = np.conj(coeffs)
-    for d in range(n + 1):
-        diag = np.cumsum(conj_coeffs[: n + 1 - d] * coeffs[d : n + 1])
-        idx = np.arange(n + 1 - d)
+    for d in range(n1):
+        diag = np.cumsum(conj_coeffs[: n1 - d] * coeffs[d:])
+        idx = np.arange(n1 - d)
         m[idx, idx + d] = diag
         if d == 0:
             m[idx, idx] += 1.0
         else:
             m[idx + d, idx] = np.conj(diag)
-    return GramMatrix(m, phi)
-
-
-def gram_matrix_mp(phi: SmirnovSymbol, n: int) -> list[list[mpmath.mpc]]:
-    """High-precision Gram matrix as nested lists (call inside workprec)."""
-    coeffs = phi.taylor_mp(n + 1)
-    conj_coeffs = [mpmath.conj(c) for c in coeffs]
-    m = [[mpmath.mpc(0) for _ in range(n + 1)] for _ in range(n + 1)]
-    for d in range(n + 1):
-        acc = mpmath.mpc(0)
-        for j in range(n + 1 - d):
-            acc += conj_coeffs[j] * coeffs[j + d]
-            m[j][j + d] = acc + 1 if d == 0 else acc
-            if d > 0:
-                m[j + d][j] = mpmath.conj(m[j][j + d])
     return m
 
 
 def cholesky_factor(entries: np.ndarray, pivot_floor: float = 0.0) -> np.ndarray:
     """Lower Cholesky factor C of a Hermitian positive-definite M = C C^H.
 
-    Raises ``numpy.linalg.LinAlgError`` when M is not positive definite at
-    working precision, or when a pivot C[k,k]^2 falls below ``pivot_floor``
-    times the largest one.
+    Raises ``numpy.linalg.LinAlgError`` when an entry of M is not finite
+    (the assembly overflowed), when M is not positive definite at working
+    precision, or when a pivot C[k,k]^2 falls below ``pivot_floor`` times the
+    largest one.  The finiteness scan replaces scipy's own.
     """
-    factor = cholesky(entries, lower=True)
+    if not np.isfinite(entries).all():
+        raise np.linalg.LinAlgError("Gram entries are not finite")
+    factor = cholesky(entries, lower=True, check_finite=False)
     pivots = np.real(np.diag(factor)) ** 2
     if pivots.min() < pivot_floor * pivots.max():
         raise np.linalg.LinAlgError("pivot collapse in Cholesky factorization")
@@ -138,6 +133,28 @@ def toeplitz_conj_apply(phi: SymbolLike, p: np.ndarray) -> np.ndarray:
     deg1 = len(p)
     cc = np.conj(phi.taylor(deg1))
     return np.convolve(p[::-1], cc)[:deg1][::-1]
+
+
+def system_residual(phi: SymbolLike, c: np.ndarray) -> float:
+    """Relative residual of the orthogonality system at the normalized c.
+
+    max|conj(M) c - e_n / Re c_n| / (max|conj(M) c| + 1): row k of conj(M) c
+    is <p, z^k>, 0 below degree n and 1/c_n at n.  conj(M) = I + L L^H with
+    L the lower Toeplitz matrix of phi, so this is two convolutions: direct
+    up to 512 coefficients, by FFT above, where the direct sums cost more.
+    A BLAS matvec with M is not used: right after the factorization it took
+    7 ms at n = 64 with two OpenBLAS threads (2-vCPU x86 VM), against 0.1 ms
+    for the convolutions.
+    """
+    c = np.asarray(c, dtype=complex)
+    n1 = len(c)
+    coeffs = phi.taylor(n1)
+    convolve = fftconvolve if n1 > 512 else np.convolve
+    lh_c = convolve(c[::-1], np.conj(coeffs))[:n1][::-1]
+    mc = c + convolve(coeffs, lh_c)[:n1]
+    target = np.zeros(n1, dtype=complex)
+    target[-1] = 1.0 / c[-1].real
+    return float(np.max(np.abs(mc - target)) / (np.max(np.abs(mc)) + 1.0))
 
 
 def hb_norm_squared(phi: SymbolLike, p: np.ndarray) -> float:

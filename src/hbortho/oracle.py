@@ -12,6 +12,10 @@ Every request factors M once: a single p_n is one triangular solve with C^T,
 a whole basis is the triangular inverse, taken as C^{-T} so that each p_k is
 the same solve.  The orthonormality residual max |Q M Q^H - I| is always
 computed from the Gram entries, never from C.
+
+The "hp" routes assemble M with the same code over mpmath numbers; the
+factorization, the back substitution and the basis residual are mpmath
+loops, since LAPACK takes no mpmath numbers.
 """
 
 from __future__ import annotations
@@ -76,7 +80,7 @@ def orthopoly(phi: SymbolLike, n: int, precision: str | None = None) -> OrthoPol
     neither, the conditioning picks it and an f64 result is verified (see
     ``backends``).
     """
-    return _solve(phi, n, precision, _orthopoly_f64, _orthopoly_hp, _system_residual)
+    return _solve(phi, n, precision, _orthopoly_f64, _orthopoly_hp, _poly_residual)
 
 
 def _solve(phi: SymbolLike, n: int, precision: str | None, f64_route, hp_route, residual):
@@ -136,28 +140,21 @@ def _orthopoly_f64(phi: SymbolLike, n: int) -> OrthoPoly:
     return OrthoPoly(n, solve_triangular(_factor_f64(m), e_n, lower=True, trans="T"))
 
 
-def _system_residual(phi: SymbolLike, p: OrthoPoly) -> float:
-    """max|conj(M) c - e_n / c_n| / (max|conj(M) c| + 1) for the coefficients c
-    of p: row k of conj(M) c is <p, z^k>, 0 below degree n and 1/c_n at n.
-
-    conj(M) = I + L L^H with L the lower Toeplitz matrix of phi, so this is
-    two O(n^2) convolutions.  A BLAS matvec with M is not used: right after
-    the factorization it took 7 ms at n = 64 with two OpenBLAS threads
-    (2-vCPU x86 VM), against 0.1 ms for the convolutions.
-    """
-    c = p.coefficients
-    mc = c + np.convolve(phi.taylor(len(c)), gram_mod.toeplitz_conj_apply(phi, c))[: len(c)]
-    target = np.zeros_like(mc)
-    target[-1] = 1.0 / c[-1]
-    return float(np.max(np.abs(mc - target)) / (np.max(np.abs(mc)) + 1.0))
+def _poly_residual(phi: SymbolLike, p: OrthoPoly) -> float:
+    return gram_mod.system_residual(phi, p.coefficients)
 
 
 def _orthopoly_hp(phi: SymbolLike, n: int) -> OrthoPoly:
+    with workprec():
+        lower = _cholesky_mp(_gram_mp(phi, n))
+        return _inverse_row_mp(lower, n)
+
+
+def _gram_mp(phi: SymbolLike, n: int) -> list[list[mpmath.mpc]]:
+    """The Gram entries in mpmath arithmetic, as rows (call inside workprec)."""
     if not isinstance(phi, SmirnovSymbol):
         raise TypeError("the high-precision path needs a SmirnovSymbol")
-    with workprec():
-        lower = _cholesky_mp(gram_mod.gram_matrix_mp(phi, n))
-        return _inverse_row_mp(lower, n)
+    return gram_mod.gram_entries(np.array(phi.taylor_mp(n + 1), dtype=object)).tolist()
 
 
 def _inverse_row_mp(lower: list[list[mpmath.mpc]], k: int) -> OrthoPoly:
@@ -210,10 +207,8 @@ def _orthobasis_f64(phi: SymbolLike, n: int) -> OrthoBasis:
 
 
 def _orthobasis_hp(phi: SymbolLike, n: int) -> OrthoBasis:
-    if not isinstance(phi, SmirnovSymbol):
-        raise TypeError("the high-precision path needs a SmirnovSymbol")
     with workprec():
-        m = gram_mod.gram_matrix_mp(phi, n)
+        m = _gram_mp(phi, n)
         lower = _cholesky_mp(m)
         polys = tuple(_inverse_row_mp(lower, k) for k in range(n + 1))
         residual = float(_residual_hp(m, [p.hp_coefficients for p in polys]))

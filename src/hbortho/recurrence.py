@@ -28,12 +28,13 @@ import cmath
 import logging
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import mpmath
 import numpy as np
 
 from . import oracle as oracle_mod
-from .backends import to_mpc, workprec
+from .backends import VALID_TAGS, solve_small, to_mpc, workprec
 from .closed_forms import RationalABForm, rational_ab_basis
 from .gram import gram_matrix, hb_norm_squared
 from .oracle import OrthoPoly
@@ -96,19 +97,56 @@ class RecurrenceData:
         return (np.conj(self.t0), self.t1 - self.t0, self.t0)
 
 
+class _Scalars(NamedTuple):
+    """rho, t0 .. t4 (see RecurrenceData) in one arithmetic."""
+
+    rho: float
+    t0: complex
+    t1: complex
+    t2: complex
+    t3: complex
+    t4: complex
+
+
+def _scalars(A, B) -> _Scalars:
+    """The reduction scalars in the arithmetic of A and B (complex or mpc)."""
+    rho = 1 + abs(A + B) ** 2
+    t0 = 1 + abs(A) ** 2 + A * np.conj(B)
+    t1 = -np.conj(t0) - abs(B) ** 2
+    t2 = rho - np.conj(t0)
+    bb = abs(B) ** 2
+    t3 = rho + t0 * t2 / bb
+    t4 = -np.conj(t0) * t2 / bb
+    return _Scalars(rho, t0, t1, t2, t3, t4)
+
+
+class _Arithmetic(NamedTuple):
+    """The operations the closed forms take from their number type."""
+
+    sqrt: Callable  # complex square root
+    arg: Callable  # phase, to order roots of equal modulus
+    solve: Callable  # small dense solve; numpy.linalg.LinAlgError if singular
+
+
+_F64 = _Arithmetic(
+    cmath.sqrt,
+    cmath.phase,
+    lambda a, b: np.linalg.solve(np.array(a, dtype=complex), np.array(b, dtype=complex)),
+)
+_HP = _Arithmetic(
+    mpmath.sqrt,
+    mpmath.arg,
+    lambda a, b: solve_small(np.array(a, dtype=object), np.array(b, dtype=object)),
+)
+
+
 def build_recurrence(A: complex, B: complex) -> RecurrenceData:
     """Compute all reduction scalars for phi = A + B/(1-z) and classify."""
     A = complex(A)
     B = complex(B)
     if B == 0:
         raise ValueError("B must be nonzero")
-    rho = 1.0 + abs(A + B) ** 2
-    t0 = 1.0 + abs(A) ** 2 + A * np.conj(B)
-    t1 = -np.conj(t0) - abs(B) ** 2
-    t2 = rho - np.conj(t0)
-    bb = abs(B) ** 2
-    t3 = rho + t0 * t2 / bb
-    t4 = -np.conj(t0) * t2 / bb
+    rho, t0, t1, t2, t3, t4 = _scalars(A, B)
     disc_c = (t1 - t0) ** 2 - 4.0 * t0 * np.conj(t0)
     disc = float(disc_c.real)  # imaginary part is roundoff: the middle coefficient is real
     scale_sq = (abs(t0) + abs(t1)) ** 2
@@ -123,21 +161,21 @@ def build_recurrence(A: complex, B: complex) -> RecurrenceData:
         return RecurrenceData(
             A, B, rho, t0, t1, t2, t3, t4, disc, disc_ratio, CASE_DOUBLE, None, lam
         )
-    roots = _quadratic_roots(np.conj(t0), t1 - t0, t0)
+    roots = _quadratic_roots(np.conj(t0), t1 - t0, t0, _F64)
     return RecurrenceData(
         A, B, rho, t0, t1, t2, t3, t4, disc, disc_ratio, CASE_SIMPLE, roots, None
     )
 
 
-def _quadratic_roots(a: complex, b: complex, c: complex) -> tuple[complex, complex]:
+def _quadratic_roots(a, b, c, arith: _Arithmetic) -> tuple[complex, complex]:
     """Roots of a z^2 + b z + c, cancellation-free, ordered small to large."""
-    sq = cmath.sqrt(b * b - 4.0 * a * c)
+    sq = arith.sqrt(b * b - 4.0 * a * c)
     if abs(-b + sq) >= abs(-b - sq):
         big = (-b + sq) / (2.0 * a)
     else:
         big = (-b - sq) / (2.0 * a)
     small = c / (a * big)
-    pair = sorted((small, big), key=lambda z: (abs(z), cmath.phase(z)))
+    pair = sorted((small, big), key=lambda z: (abs(z), arith.arg(z)))
     return (pair[0], pair[1])
 
 
@@ -147,10 +185,14 @@ def coefficients_via_recurrence(
     """Orthonormal polynomial of degree n from the closed-form recurrence.
 
     Degrees 0 and 1 sit below the recurrence machinery and fall through to
-    the dense oracle.  Raises :class:`CaseBoundary` inside the ambiguous
-    discriminant band and :class:`SingularBorder` when the bordered system
-    cannot be solved reliably (retry with precision="hp").
+    the dense oracle.  ``precision`` "hp" evaluates the same closed forms in
+    mpmath arithmetic, from scalars recomputed out of A and B.  Raises
+    :class:`CaseBoundary` inside the ambiguous discriminant band and
+    :class:`SingularBorder` when the bordered system cannot be solved
+    reliably (retry with precision="hp").
     """
+    if precision not in VALID_TAGS:
+        raise ValueError(f"unknown precision tag {precision!r}; expected one of {VALID_TAGS}")
     if n < 2:
         phi = SmirnovSymbol(data.A, (PoleTerm(1.0, 1, data.B),))
         return oracle_mod.orthopoly(phi, n, precision=precision)
@@ -161,96 +203,86 @@ def coefficients_via_recurrence(
         raise CaseBoundary(
             f"discriminant ratio {data.disc_ratio:.3e} is inside the ambiguous band"
         )
+    closed_form = _simple_roots if data.case_tag == CASE_SIMPLE else _double_root
     if precision == "hp":
-        return _recurrence_hp(data, n)
-    if data.case_tag == CASE_SIMPLE:
-        coeffs = _simple_roots_f64(data, n)
-    else:
-        coeffs = _double_root_f64(data, n)
-    poly = OrthoPoly(n, coeffs)
+        with workprec():
+            coeffs = closed_form(_scalars(to_mpc(data.A), to_mpc(data.B)), n, _HP)
+            f64 = np.array([complex(c) for c in coeffs], dtype=complex)
+        return OrthoPoly(n, f64, hp_coefficients=tuple(coeffs))
+    # mpmath exponents do not overflow; double-precision root powers can
+    if data.case_tag == CASE_SIMPLE and (n - 1) * math.log10(max(abs(data.roots[1]), 1.0)) > 280:
+        raise SingularBorder(
+            "root powers exceed the double-precision range; use hp or the oracle"
+        )
+    poly = OrthoPoly(n, np.array(closed_form(data, n, _F64), dtype=complex))
     _validate(data, poly)
     return poly
 
 
-def _simple_roots_f64(data: RecurrenceData, n: int) -> np.ndarray:
-    l1, l2 = data.roots
-    if (n - 1) * math.log10(max(abs(l2), 1.0)) > 280:
-        raise SingularBorder(
-            "root powers exceed the double-precision range; use hp or the oracle"
-        )
-    t0, t1 = data.t0, data.t1
+def _simple_roots(s, n: int, arith: _Arithmetic) -> list:
+    """Coefficients c_0 .. c_n in the simple-roots case, for the scalars ``s``
+    (a RecurrenceData or _Scalars) in the arithmetic ``arith``."""
+    t0, t1 = s.t0, s.t1
     t0c = np.conj(t0)
+    l1, l2 = _quadratic_roots(t0c, t1 - t0, t0, arith)
 
-    def v(j: int) -> complex:
+    def v(j: int):
         return l2**j - l1**j
 
     v1 = v(1)
     prod = l1 * l2
-    border = np.array(
-        [
-            [prod * (v(n - 2) * (t0 - t1) - v(n - 3) * t0) / v1,
-             (v(n - 2) * t0 + (t1 - t0) * v(n - 1)) / v1,
-             t0c],
-            [-t0 * prod * v(n - 2) / v1, t0 * v(n - 1) / v1, t1],
-            [data.t3, data.t4, 0.0],
-        ],
-        dtype=complex,
-    )
-    rhs = np.array([1.0, -1.0, 0.0], dtype=complex)
-    try:
-        u0, u1, un = np.linalg.solve(border, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularBorder(str(exc)) from exc
-    t = _branch(un, np.array([u0, u1, un]))
+    border = [
+        [prod * (v(n - 2) * (t0 - t1) - v(n - 3) * t0) / v1,
+         (v(n - 2) * t0 + (t1 - t0) * v(n - 1)) / v1,
+         t0c],
+        [-t0 * prod * v(n - 2) / v1, t0 * v(n - 1) / v1, t1],
+        [s.t3, s.t4, 0.0],
+    ]
+    u0, u1, un = _solve_border(border, [1.0, -1.0, 0.0], arith)
+    t = _branch([u0, u1, un], arith)
     c0, c1 = t * u0, t * u1
-    coeffs = np.empty(n + 1, dtype=complex)
-    coeffs[n] = t * un
-    for k in range(n):
-        coeffs[k] = (c1 * v(k) - c0 * prod * v(k - 1)) / v1
-    return coeffs
+    return [(c1 * v(k) - c0 * prod * v(k - 1)) / v1 for k in range(n)] + [t * un]
 
 
-def _double_root_f64(data: RecurrenceData, n: int) -> np.ndarray:
-    lam = data.double_root
-    lamc = np.conj(lam)
-    if abs(data.t4) == 0:
+def _double_root(s, n: int, arith: _Arithmetic) -> list:
+    """Coefficients c_0 .. c_n in the double-root case, as ``_simple_roots``."""
+    if abs(s.t4) == 0:
         raise SingularBorder("aggregated row vanished; double-root data inconsistent")
-    r = data.t3 / data.t4
-    mod_t0 = abs(data.t0)
-    border = np.array(
-        [
-            [((n - 1) * lam + n * r) * lam ** (n - 1), 1.0],
-            [((2 - n) - lamc * r * (n - 1)) * lam**n, lam - 2.0],
-        ],
-        dtype=complex,
-    )
-    rhs = np.array([lam / mod_t0, -1.0 / mod_t0], dtype=complex)
-    try:
-        u0, un = np.linalg.solve(border, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularBorder(str(exc)) from exc
-    t = _branch(un, np.array([u0, un]))
+    mod_t0 = abs(s.t0)
+    lam = s.t0 / mod_t0
+    lamc = np.conj(lam)
+    r = s.t3 / s.t4
+    border = [
+        [((n - 1) * lam + n * r) * lam ** (n - 1), 1.0],
+        [((2 - n) - lamc * r * (n - 1)) * lam**n, lam - 2.0],
+    ]
+    u0, un = _solve_border(border, [lam / mod_t0, -1.0 / mod_t0], arith)
+    t = _branch([u0, un], arith)
     c0 = t * u0
     c1 = -r * c0
-    coeffs = np.empty(n + 1, dtype=complex)
-    coeffs[n] = t * un
-    for k in range(n):
-        coeffs[k] = ((1 - k) * c0 + k * lamc * c1) * lam**k
-    return coeffs
+    return [((1 - k) * c0 + k * lamc * c1) * lam**k for k in range(n)] + [t * un]
 
 
-def _branch(un: complex, u: np.ndarray) -> float:
-    """The positive normalizer t with c_n t = t^2 u_n = 1.
+def _solve_border(border, rhs, arith: _Arithmetic):
+    try:
+        return arith.solve(border, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularBorder(str(exc)) from exc
+
+
+def _branch(u, arith: _Arithmetic):
+    """The positive normalizer t with c_n t = t^2 u_n = 1, u_n = u[-1].
 
     Of the two candidates +-1/sqrt(u_n), only the positive one makes
     c_n = t u_n positive; u_n must be real positive for either to exist.
     """
-    scale = np.linalg.norm(u)
+    un = u[-1]
+    scale = math.sqrt(sum(abs(x) ** 2 for x in u))
     if abs(un.imag) > 1e-12 * scale or un.real <= 0:
         raise SingularBorder(
             f"normalizing entry {un} is not real positive at working precision"
         )
-    return 1.0 / math.sqrt(un.real)
+    return 1 / arith.sqrt(un.real).real
 
 
 def _validate(data: RecurrenceData, poly: OrthoPoly) -> None:
@@ -278,76 +310,6 @@ def recurrence_residual(data: RecurrenceData, coeffs: np.ndarray) -> float:
     mid = data.t1 - data.t0
     vals = t0c * c[2:n] + mid * c[1 : n - 1] + data.t0 * c[0 : n - 2]
     return float(np.max(np.abs(vals)))
-
-
-def _recurrence_hp(data: RecurrenceData, n: int) -> OrthoPoly:
-    """High-precision evaluation of the closed forms (both root cases)."""
-    with workprec():
-        A = to_mpc(data.A)
-        B = to_mpc(data.B)
-        rho = 1 + abs(A + B) ** 2
-        t0 = 1 + abs(A) ** 2 + A * mpmath.conj(B)
-        t1 = -mpmath.conj(t0) - abs(B) ** 2
-        t2 = rho - mpmath.conj(t0)
-        bb = abs(B) ** 2
-        t3 = rho + t0 * t2 / bb
-        t4 = -mpmath.conj(t0) * t2 / bb
-        t0c = mpmath.conj(t0)
-        if data.case_tag == CASE_SIMPLE:
-            b_mid = t1 - t0
-            sq = mpmath.sqrt(b_mid * b_mid - 4 * t0c * t0)
-            big = (-b_mid + sq) / (2 * t0c)
-            if abs(-b_mid - sq) > abs(-b_mid + sq):
-                big = (-b_mid - sq) / (2 * t0c)
-            small = t0 / (t0c * big)
-            l1, l2 = sorted((small, big), key=lambda z: (abs(z), mpmath.arg(z)))
-
-            def v(j):
-                return l2**j - l1**j
-
-            v1 = v(1)
-            prod = l1 * l2
-            border = mpmath.matrix(
-                [
-                    [prod * (v(n - 2) * (t0 - t1) - v(n - 3) * t0) / v1,
-                     (v(n - 2) * t0 + (t1 - t0) * v(n - 1)) / v1,
-                     t0c],
-                    [-t0 * prod * v(n - 2) / v1, t0 * v(n - 1) / v1, t1],
-                    [t3, t4, mpmath.mpc(0)],
-                ]
-            )
-            rhs = mpmath.matrix([1, -1, 0])
-            u = mpmath.lu_solve(border, rhs)
-            u0, u1, un = u[0], u[1], u[2]
-            if mpmath.re(un) <= 0:
-                raise SingularBorder("hp normalizing entry not positive")
-            t = 1 / mpmath.sqrt(mpmath.re(un))
-            c0, c1 = t * u0, t * u1
-            coeffs = [(c1 * v(k) - c0 * prod * v(k - 1)) / v1 for k in range(n)]
-            coeffs.append(t * un)
-        else:
-            lam = t0 / abs(t0)
-            lamc = mpmath.conj(lam)
-            r = t3 / t4
-            mod_t0 = abs(t0)
-            border = mpmath.matrix(
-                [
-                    [((n - 1) * lam + n * r) * lam ** (n - 1), mpmath.mpc(1)],
-                    [((2 - n) - lamc * r * (n - 1)) * lam**n, lam - 2],
-                ]
-            )
-            rhs = mpmath.matrix([lam / mod_t0, -1 / mod_t0])
-            u = mpmath.lu_solve(border, rhs)
-            u0, un = u[0], u[1]
-            if mpmath.re(un) <= 0:
-                raise SingularBorder("hp normalizing entry not positive")
-            t = 1 / mpmath.sqrt(mpmath.re(un))
-            c0 = t * u0
-            c1 = -r * c0
-            coeffs = [((1 - k) * c0 + k * lamc * c1) * lam**k for k in range(n)]
-            coeffs.append(t * un)
-        f64 = np.array([complex(c) for c in coeffs], dtype=complex)
-    return OrthoPoly(n, f64, hp_coefficients=tuple(coeffs))
 
 
 # ---------------------------------------------------------------------------

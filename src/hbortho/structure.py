@@ -25,14 +25,15 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import matmul_toeplitz
 from scipy.signal import fftconvolve
 
 from . import gram as gram_mod
 from . import oracle as oracle_mod
+from .backends import solve_small
 from .closed_forms import detect_rational_ab, rational_ab_basis
+from .gram import system_residual
 from .oracle import NumericalBreakdown, OrthoPoly
-from .symbol import SmirnovSymbol, SymbolLike
+from .symbol import SmirnovSymbol
 
 #: relative tolerance defining "conforming" entries during detection
 DETECT_TOL = 1e-9
@@ -268,11 +269,13 @@ class _ReducedSystem:
         if band_rows and np.min(np.abs(band[d])) < 1e-12 * calibration.scale:
             raise StructureRefuted("leading band diagonal vanishes")
 
+        # reduced boundary row k combines the system rows k .. min(k+d, n)
+        rows = [_system_row(coeffs, r, n) for r in range(band_rows, n1)]
         boundary = np.zeros((d + 1, n1), dtype=complex)
         for k in range(band_rows, n1):
             acc = np.zeros(n1, dtype=complex)
             for i in range(min(d, n - k) + 1):
-                acc += (-1) ** i * math.comb(d, i) * _system_row(coeffs, k + i, n)
+                acc += (-1) ** i * math.comb(d, i) * rows[k + i - band_rows]
             boundary[k - band_rows] = acc
 
         # homogeneous border propagation with shared scalar rescaling; the
@@ -335,7 +338,10 @@ class _ReducedSystem:
         colscale[colscale == 0] = 1.0
         balanced = self.small / colscale
         if self.work_dtype is np.clongdouble:
-            sol = _solve_small_longdouble(balanced, rhs)
+            try:
+                sol = solve_small(balanced, rhs)
+            except np.linalg.LinAlgError as exc:
+                raise NumericalBreakdown("border system is singular") from exc
         else:
             try:
                 sol = np.linalg.solve(balanced, rhs)
@@ -350,34 +356,6 @@ class _ReducedSystem:
         u[:n] = (self.scaled_w @ sol[:width]).astype(complex)
         u[n] = complex(sol[width])
         return u
-
-
-def _solve_small_longdouble(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Partial-pivoted Gaussian elimination for the tiny border system.
-
-    numpy.linalg does not accept extended-precision operands, and the system
-    is at most (2m+2) x (2m+2), so a direct elimination is the simplest
-    reliable route.
-    """
-    m = a.astype(np.clongdouble).copy()
-    rhs = b.astype(np.clongdouble).copy()
-    size = m.shape[0]
-    for col in range(size):
-        piv = col + int(np.argmax(np.abs(m[col:, col])))
-        if m[piv, col] == 0:
-            raise NumericalBreakdown("border system is singular")
-        if piv != col:
-            m[[col, piv]] = m[[piv, col]]
-            rhs[[col, piv]] = rhs[[piv, col]]
-        for r in range(col + 1, size):
-            f = m[r, col] / m[col, col]
-            if f != 0:
-                m[r, col:] -= f * m[col, col:]
-                rhs[r] -= f * rhs[col]
-    x = np.zeros(size, dtype=np.clongdouble)
-    for r in range(size - 1, -1, -1):
-        x[r] = (rhs[r] - m[r, r + 1 :] @ x[r + 1 :]) / m[r, r]
-    return x
 
 
 def structured_solve(
@@ -424,34 +402,6 @@ def structured_solve(
     if rel > 1e-6:
         raise NumericalBreakdown(f"structured solve residual {rel:.3e} too large")
     return poly
-
-
-def gram_matvec(coeffs: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """M y in O(n log n), using M = I + L L^H with L lower Toeplitz.
-
-    L has first column conj(phi_0..phi_n); this identity is just the Gram
-    structure of the conjugate-Toeplitz images of the monomials.
-    """
-    n1 = len(y)
-    phibar = np.conj(coeffs[:n1])
-    e0 = np.zeros(n1, dtype=complex)
-    e0[0] = phibar[0]
-    lh_y = matmul_toeplitz((np.conj(e0), np.conj(phibar)), y)
-    l_lh_y = matmul_toeplitz((phibar, e0), lh_y)
-    return y + l_lh_y
-
-
-def system_residual(phi: SymbolLike, c: np.ndarray) -> float:
-    """Relative residual of the orthogonality system at the normalized c."""
-    n = len(c) - 1
-    coeffs = phi.taylor(n + 1)
-    sc = np.conj(gram_matvec(coeffs, np.conj(c)))
-    cn = c[n].real
-    target = np.zeros(n + 1, dtype=complex)
-    target[n] = 1.0 / cn
-    num = float(np.max(np.abs(sc - target)))
-    den = float(np.max(np.abs(sc)) + 1.0)
-    return num / den
 
 
 def bench_solvers(phi: SmirnovSymbol, sizes, agreement_tol: float = 1e-7, repeats: int = 1):

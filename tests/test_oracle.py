@@ -102,7 +102,7 @@ class TestOrthopoly:
             target = np.zeros(31)
             target[30] = 1 / c[30].real
             ref = np.max(np.abs(mc - target)) / (np.max(np.abs(mc)) + 1)
-            got = oracle_mod._system_residual(phi, OrthoPoly(30, c))
+            got = gram_mod.system_residual(phi, c)
             assert abs(got - ref) <= 1e-6 * ref
 
     def test_breakdown_on_absurd_stream(self):
@@ -110,6 +110,13 @@ class TestOrthopoly:
         stream = TaylorStream(lambda n: 10.0 ** (2 * n), label="blowup")
         with pytest.raises(NumericalBreakdown):
             orthopoly(stream, 24, precision="f64")
+
+    @pytest.mark.parametrize("precision", [None, "f64"])
+    def test_overflow_is_breakdown(self, precision):
+        # finite coefficients whose Gram products overflow double precision
+        stream = TaylorStream(lambda n: 10.0 ** (5 * n), label="overflow")
+        with np.errstate(over="ignore"), pytest.raises(NumericalBreakdown):
+            orthopoly(stream, 40, precision=precision)
 
 
 class TestOrthobasis:

@@ -20,7 +20,17 @@ from hbortho import (
     recurrence_residual,
     reduced_matrix_check,
 )
-from hbortho.recurrence import CASE_DEGENERATE, CASE_DOUBLE, CASE_SIMPLE
+from hbortho.backends import to_mpc
+from hbortho.recurrence import (
+    CASE_DEGENERATE,
+    CASE_DOUBLE,
+    CASE_SIMPLE,
+    _F64,
+    _HP,
+    _double_root,
+    _scalars,
+    _simple_roots,
+)
 
 finite_complex = st.complex_numbers(
     max_magnitude=6.0, allow_nan=False, allow_infinity=False
@@ -163,23 +173,41 @@ class TestCoefficients:
             coefficients_via_recurrence(data, 8)
 
     def test_hp_matches_hp_oracle(self):
+        # the first two border systems are ill-conditioned enough that a
+        # solver with a singularity threshold refuses them
+        cases = [
+            (-1.3387574374594724 - 1.364749998023552j, 1.6243679292880695 + 1.7090751949222618j, 40),
+            (-1.7150651975498534 - 1.3751970927896493j, 1.8913296420449566 + 1.6530052267100661j, 55),
+        ]
         rng = np.random.default_rng(77)
-        done = 0
-        while done < 10:
+        while len(cases) < 12:
             A, B = random_generic_ab(rng, bound=2.0, min_b=0.4)
-            data = build_recurrence(A, B)
-            if data.in_boundary_band:
-                continue
-            n = int(rng.integers(4, 21))
-            fast = coefficients_via_recurrence(data, n, precision="hp")
+            if not build_recurrence(A, B).in_boundary_band:
+                cases.append((A, B, int(rng.integers(4, 49))))
+        for A, B, n in cases:
+            fast = coefficients_via_recurrence(build_recurrence(A, B), n, precision="hp")
             ref = orthopoly(ab_symbol(A, B), n, precision="hp")
             with mpmath.workprec(160):
                 diff = max(
                     abs(x - y)
                     for x, y in zip(fast.hp_coefficients, ref.hp_coefficients)
                 )
-                assert diff < mpmath.mpf("1e-20")
-            done += 1
+                assert diff < mpmath.mpf("1e-40")
+
+    def test_unknown_precision_tag(self):
+        with pytest.raises(ValueError):
+            coefficients_via_recurrence(build_recurrence(0.5, 1.0), 6, precision="mp")
+
+    @pytest.mark.parametrize("arith", [_F64, _HP], ids=["f64", "hp"])
+    def test_zero_pivot_is_singular_border(self, arith):
+        # an aggregated row of exact zeros makes the border system singular
+        A, B = 0.5 + 0.5j, 1.5 - 0.25j
+        with mpmath.workprec(160):
+            if arith is _HP:
+                A, B = to_mpc(A), to_mpc(B)
+            s = _scalars(A, B)
+            with pytest.raises(SingularBorder):
+                _simple_roots(s._replace(t3=0 * s.t3, t4=0 * s.t4), 9, arith)
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_low_degree_keeps_hp(self, n):
@@ -231,11 +259,9 @@ class TestDoubleRootBranch:
             coefficients_via_recurrence(data, 9)
 
     def test_formulas_satisfy_recurrence(self):
-        from hbortho.recurrence import _double_root_f64
-
         data = self.synthetic()
         n = 9
-        c = _double_root_f64(data, n)
+        c = np.array(_double_root(data, n, _F64))
         # three-term recurrence on the interior coefficients
         res = recurrence_residual(data, c)
         assert res < 1e-10 * np.max(np.abs(c))

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import random_generic_ab
 from hbortho import (
+    NumericalBreakdown,
     PoleTerm,
     SmirnovSymbol,
     StructureRefuted,
@@ -18,7 +19,7 @@ from hbortho import (
     sarason_symbol,
     structured_solve,
 )
-from hbortho.structure import _system_row, gram_matvec, system_residual
+from hbortho.structure import _ReducedSystem, _system_row, system_residual
 
 
 def shift_reduction_binomial(mat, d: int) -> np.ndarray:
@@ -236,6 +237,14 @@ class TestStructuredSolve:
         with pytest.raises(ValueError):
             structured_solve(phi, 24)
 
+    def test_singular_border_is_breakdown(self):
+        # an exact zero pivot in the extended-precision border solve (m = 2)
+        phi = double_pole_symbol(1.0, 1.0, 1.0)
+        system = _ReducedSystem(phi, 20, detect_structure(phi, 16))
+        system.small = np.zeros_like(system.small)
+        with pytest.raises(NumericalBreakdown):
+            system.solve_t_normalized()
+
     def test_refuted_calibration_raises(self):
         rep = detect_structure(unit_pole(), 12)
         broken = dataclasses.replace(rep, confirmed=False)
@@ -254,14 +263,17 @@ class TestFastKernels:
             row = _system_row(coeffs, r, n)
             assert np.max(np.abs(row - sys[r])) < 1e-11
 
-    def test_gram_matvec_matches_dense(self):
+    @pytest.mark.parametrize("n", [30, 600])  # direct and FFT convolutions
+    def test_system_residual_matches_dense(self, n):
         phi = double_pole_symbol(0.2, 1.0, 0.5)
-        n = 30
         gm = gram_matrix(phi, n)
         rng = np.random.default_rng(14)
-        y = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
-        fast = gram_matvec(phi.taylor(n + 1), y)
-        assert np.max(np.abs(fast - gm.entries @ y)) < 1e-9 * np.max(np.abs(gm.entries @ y))
+        c = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+        mc = gm.system_matrix() @ c
+        target = np.zeros(n + 1)
+        target[n] = 1 / c[n].real
+        ref = np.max(np.abs(mc - target)) / (np.max(np.abs(mc)) + 1)
+        assert abs(system_residual(phi, c) - ref) <= 1e-9 * ref
 
 
 class TestBench:
