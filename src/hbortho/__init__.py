@@ -46,7 +46,6 @@ from .gram import (
     toeplitz_conj_apply,
 )
 from .oracle import (
-    DegenerateSystem,
     NumericalBreakdown,
     OrthoBasis,
     OrthoPoly,
@@ -88,7 +87,6 @@ __all__ = [
     "CatalogEntry",
     "CaseBoundary",
     "CompositionOrderError",
-    "DegenerateSystem",
     "FM_NORM_LIMIT",
     "FM_NORM_RATIO",
     "GramMatrix",

@@ -3,10 +3,11 @@
 * ``"f64"`` -- IEEE double precision through numpy/scipy, the fast path.
 * ``"hp"``  -- software floating point through mpmath, 160 bits of mantissa.
 
-"hp" runs the same code as "f64" wherever numpy allows it: the Gram assembly
-and the closed forms of the recurrence take their arithmetic from their
-numbers (complex128, or ``mpmath.mpc`` in object arrays), and ``solve_small``
-solves border systems of any element type.
+"hp" runs the same code as "f64" wherever numpy allows it: the oracle's one
+Schur factorization of the Gram matrix (O(n^2), ``gram.schur_factor``), the
+Gram assembly and the closed forms of the recurrence take their arithmetic
+from their numbers (complex128, or ``mpmath.mpc`` in object arrays), and
+``solve_small`` solves border systems of any element type.
 
 An explicit tag, or else ``HB_PRECISION`` ("f64" or "hp"), selects the
 backend.  Without either the request is *automatic* and its conditioning, not

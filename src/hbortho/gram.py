@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky
+from scipy.linalg import toeplitz
 from scipy.signal import fftconvolve
 
 from .catalog import CatalogEntry
@@ -98,27 +98,54 @@ def gram_entries(coeffs: np.ndarray) -> np.ndarray:
     return m
 
 
-def cholesky_factor(entries: np.ndarray, pivot_floor: float = 0.0) -> np.ndarray:
-    """Lower Cholesky factor C of a Hermitian positive-definite M = C C^H.
+def schur_factor(coeffs: np.ndarray, pivot_floor: float = 0.0) -> np.ndarray:
+    """Lower Cholesky factor C of the Gram matrix M = C C^H of z^0 .. z^n, in O(n^2).
 
-    Raises ``numpy.linalg.LinAlgError`` when an entry of M is not finite
-    (the assembly overflowed), when M is not positive definite at working
-    precision, or when a pivot C[k,k]^2 falls below ``pivot_floor`` times the
-    largest one.  The finiteness scan replaces scipy's own.
+    M = I + G G^H with G the lower Toeplitz matrix of g = conj(phi_0 .. phi_n),
+    which commutes with the down-shift Z, so M - Z M Z^H = e_0 e_0^H + g g^H.
+    The generalized Schur algorithm (Kailath & Sayed, SIAM Review 37, 1995)
+    rotates the generator [u, v] so that v vanishes in row k; the rotated u is
+    column k of C, and Z times it is the next u.  The element type of
+    ``coeffs`` is the arithmetic: complex128, or an object array of
+    ``mpmath.mpc`` (call inside workprec).  Raises ``numpy.linalg.LinAlgError``
+    on a coefficient or pivot that is not finite, a zero pivot, or a pivot
+    C[k,k]^2 below ``pivot_floor`` times the largest one.
     """
-    if not np.isfinite(entries).all():
-        raise np.linalg.LinAlgError("Gram entries are not finite")
-    factor = cholesky(entries, lower=True, check_finite=False)
-    pivots = np.real(np.diag(factor)) ** 2
-    if pivots.min() < pivot_floor * pivots.max():
-        raise np.linalg.LinAlgError("pivot collapse in Cholesky factorization")
-    return factor
+    n1 = len(coeffs)
+    if not np.abs(coeffs).sum() < np.inf:
+        raise np.linalg.LinAlgError("Taylor coefficients are not finite")
+    rows = np.zeros((n1, n1), dtype=coeffs.dtype)  # row k is column k of C
+    u = np.zeros(n1, dtype=coeffs.dtype)
+    u[0] = 1
+    v = np.conj(coeffs)
+    pivots = []
+    for k in range(n1):
+        w = v[k:]
+        a, b = u.item(0), w.item(0)  # python complex in f64, so scalar work is cheap
+        abs_a, abs_b = abs(a), abs(b)
+        scale = abs_a + abs_b
+        if not 0 < scale < np.inf:
+            raise np.linalg.LinAlgError(f"pivot {k} of the Schur factorization is {scale}")
+        pivot = scale * ((abs_a / scale) ** 2 + (abs_b / scale) ** 2) ** 0.5
+        c, s = a / pivot, b / pivot
+        col = rows[k, k:]
+        np.multiply(c.conjugate(), u, out=col)
+        col += s.conjugate() * w
+        col[0] = pivot
+        w *= c
+        w -= s * u
+        u = col[:-1]
+        pivots.append(pivot)
+    if (min(pivots) / max(pivots)) ** 2 < pivot_floor:
+        raise np.linalg.LinAlgError("pivot collapse in the Schur factorization")
+    return rows.T
 
 
-def gram_defect(entries: np.ndarray, rows: np.ndarray) -> float:
-    """max |Q M Q^H - I| for the coefficient rows Q of a polynomial family."""
-    rows = np.asarray(rows, dtype=complex)
-    gram = rows @ entries @ np.conj(rows.T)
+def gram_defect(coeffs: np.ndarray, rows: np.ndarray) -> float:
+    """max |Q M Q^H - I| for the coefficient rows Q of a polynomial family,
+    as Q Q^H + (Q G)(Q G)^H with M = I + G G^H (see ``schur_factor``)."""
+    t_rows = rows @ toeplitz(np.conj(coeffs), np.zeros(len(coeffs)))
+    gram = rows @ np.conj(rows.T) + t_rows @ np.conj(t_rows.T)
     return float(np.max(np.abs(gram - np.eye(len(rows)))))
 
 
@@ -211,4 +238,4 @@ def orthonormality_defect(phi: SymbolLike, polys: list[np.ndarray]) -> float:
     rows = np.zeros((len(polys), n + 1), dtype=complex)
     for i, p in enumerate(polys):
         rows[i, : len(p)] = p
-    return gram_defect(gram_matrix(phi, n).entries, rows)
+    return gram_defect(phi.taylor(n + 1), rows)

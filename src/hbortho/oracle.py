@@ -8,14 +8,14 @@ the orthonormal polynomial p_k (Gram-Schmidt on the monomials, done by a
 factorization instead of sequential projections, which lose orthogonality
 catastrophically at these condition numbers).
 
-Every request factors M once: a single p_n is one triangular solve with C^T,
-a whole basis is the triangular inverse, taken as C^{-T} so that each p_k is
-the same solve.  The orthonormality residual max |Q M Q^H - I| is always
-computed from the Gram entries, never from C.
+Every request factors M once, with ``gram.schur_factor``: O(n^2) work from
+the Taylor coefficients, without forming M.  A single p_n is one triangular
+solve with C^T, a whole basis is the triangular inverse, taken as C^{-T} so
+that each p_k is the same solve.  The residual max |Q M Q^H - I| is never
+computed from C: f64 takes it from M = I + G G^H, hp from the Gram entries.
 
-The "hp" routes assemble M with the same code over mpmath numbers; the
-factorization, the back substitution and the basis residual are mpmath
-loops, since LAPACK takes no mpmath numbers.
+The "hp" routes run the same factorization on mpmath numbers; the back
+substitution and the basis residual are mpmath ``fdot`` loops.
 """
 
 from __future__ import annotations
@@ -35,12 +35,7 @@ PIVOT_BREAKDOWN_RATIO = 1e-13
 
 
 class NumericalBreakdown(ArithmeticError):
-    """Double-precision factorization lost too much accuracy; retry in "hp"."""
-
-
-class DegenerateSystem(ArithmeticError):
-    """The Gram system is singular: impossible for a valid symbol, so this
-    signals an invariant violation upstream."""
+    """A factorization pivot is not finite or collapsed; f64 can retry in "hp"."""
 
 
 @dataclass(frozen=True)
@@ -69,9 +64,6 @@ class OrthoBasis:
     def degree(self) -> int:
         return len(self.polys) - 1
 
-    def coefficient_arrays(self) -> list[np.ndarray]:
-        return [p.coefficients for p in self.polys]
-
 
 def orthopoly(phi: SymbolLike, n: int, precision: str | None = None) -> OrthoPoly:
     """Orthonormal polynomial of exact degree n for the symbol ``phi``.
@@ -80,18 +72,19 @@ def orthopoly(phi: SymbolLike, n: int, precision: str | None = None) -> OrthoPol
     neither, the conditioning picks it and an f64 result is verified (see
     ``backends``).
     """
-    return _solve(phi, n, precision, _orthopoly_f64, _orthopoly_hp, _poly_residual)
+    return _solve(phi, n, precision, _orthopoly_f64, _orthopoly_hp)
 
 
-def _solve(phi: SymbolLike, n: int, precision: str | None, f64_route, hp_route, residual):
+def _solve(phi: SymbolLike, n: int, precision: str | None, f64_route, hp_route):
     """Run one request on the backend that ``precision`` selects.
 
     A requested backend runs as asked, except that an f64 breakdown falls
     back to hp when the request came from ``HB_PRECISION``.  An automatic
     request runs in f64 when ``cond_bound`` allows it and keeps the result
-    only if ``residual(phi, result)`` is at most ``AUTO_F64_TOL``; otherwise
-    it runs in hp.  A raw stream, which the hp path cannot serve, always
-    tries f64 and raises ``NumericalBreakdown`` if the result fails.
+    only if its residual (a basis's own, else ``gram.system_residual``) is at
+    most ``AUTO_F64_TOL``; otherwise it runs in hp.  A raw stream, which the
+    hp path cannot serve, always tries f64 and raises ``NumericalBreakdown``
+    if the result fails.
     """
     if n < 0:
         raise ValueError("degree must be >= 0")
@@ -114,7 +107,10 @@ def _solve(phi: SymbolLike, n: int, precision: str | None, f64_route, hp_route, 
     except NumericalBreakdown as exc:
         failure = str(exc)
     else:
-        defect = residual(phi, result)
+        if isinstance(result, OrthoBasis):
+            defect = result.residual
+        else:
+            defect = gram_mod.system_residual(phi, result.coefficients)
         if defect <= AUTO_F64_TOL:
             return result
         failure = f"f64 residual {defect:.3g} exceeds {AUTO_F64_TOL:g}"
@@ -125,63 +121,41 @@ def _solve(phi: SymbolLike, n: int, precision: str | None, f64_route, hp_route, 
     return hp_route(phi, n)
 
 
-def _factor_f64(m: gram_mod.GramMatrix) -> np.ndarray:
+def _factor(coeffs: np.ndarray, pivot_floor: float = 0.0) -> np.ndarray:
     try:
-        return gram_mod.cholesky_factor(m.entries, PIVOT_BREAKDOWN_RATIO)
+        return gram_mod.schur_factor(coeffs, pivot_floor)
     except np.linalg.LinAlgError as exc:
         raise NumericalBreakdown(str(exc)) from exc
 
 
 def _orthopoly_f64(phi: SymbolLike, n: int) -> OrthoPoly:
-    m = gram_mod.gram_matrix(phi, n)
+    lower = _factor(np.asarray(phi.taylor(n + 1), dtype=complex), PIVOT_BREAKDOWN_RATIO)
     e_n = np.zeros(n + 1)
     e_n[n] = 1.0
     # row n of C^{-1}, i.e. the solution of C^T x = e_n
-    return OrthoPoly(n, solve_triangular(_factor_f64(m), e_n, lower=True, trans="T"))
-
-
-def _poly_residual(phi: SymbolLike, p: OrthoPoly) -> float:
-    return gram_mod.system_residual(phi, p.coefficients)
+    return OrthoPoly(n, solve_triangular(lower, e_n, lower=True, trans="T", check_finite=False))
 
 
 def _orthopoly_hp(phi: SymbolLike, n: int) -> OrthoPoly:
     with workprec():
-        lower = _cholesky_mp(_gram_mp(phi, n))
-        return _inverse_row_mp(lower, n)
+        return _inverse_row_mp(_factor(_taylor_mp(phi, n)).T.tolist(), n)
 
 
-def _gram_mp(phi: SymbolLike, n: int) -> list[list[mpmath.mpc]]:
-    """The Gram entries in mpmath arithmetic, as rows (call inside workprec)."""
+def _taylor_mp(phi: SymbolLike, n: int) -> np.ndarray:
+    """phi_0 .. phi_n as an object array of mpc (inside workprec); streams raise TypeError."""
     if not isinstance(phi, SmirnovSymbol):
         raise TypeError("the high-precision path needs a SmirnovSymbol")
-    return gram_mod.gram_entries(np.array(phi.taylor_mp(n + 1), dtype=object)).tolist()
+    return np.array(phi.taylor_mp(n + 1), dtype=object)
 
 
-def _inverse_row_mp(lower: list[list[mpmath.mpc]], k: int) -> OrthoPoly:
-    """p_k: row k of C^{-1}, by back substitution on C^T x = e_k."""
+def _inverse_row_mp(upper: list[list[mpmath.mpc]], k: int) -> OrthoPoly:
+    """p_k: row k of C^{-1}, by back substitution on C^T x = e_k (``upper`` = C^T, as rows)."""
     x = [mpmath.mpc(0)] * (k + 1)
     for i in range(k, -1, -1):
-        acc = mpmath.fdot((lower[j][i] for j in range(i + 1, k + 1)), x[i + 1 :])
-        x[i] = ((1 if i == k else 0) - acc) / lower[i][i]
+        acc = mpmath.fdot(upper[i][i + 1 : k + 1], x[i + 1 :])
+        x[i] = ((1 if i == k else 0) - acc) / upper[i][i]
     f64 = np.array([complex(c) for c in x], dtype=complex)
     return OrthoPoly(k, f64, hp_coefficients=tuple(mpmath.mpc(c) for c in x))
-
-
-def _cholesky_mp(m: list[list[mpmath.mpc]]) -> list[list[mpmath.mpc]]:
-    """Lower Cholesky factor as rows: row i holds C[i, 0..i]."""
-    lower: list[list[mpmath.mpc]] = []
-    for i in range(len(m)):
-        row: list[mpmath.mpc] = []
-        lower.append(row)
-        for j in range(i + 1):
-            acc = m[i][j] - mpmath.fdot(row, lower[j][:j], conjugate=True)
-            if i == j:
-                if mpmath.re(acc) <= 0:
-                    raise DegenerateSystem("nonpositive pivot in hp Cholesky")
-                row.append(mpmath.sqrt(mpmath.re(acc)))
-            else:
-                row.append(acc / lower[j][j])
-    return lower
 
 
 def orthobasis(phi: SymbolLike, n: int, precision: str | None = None) -> OrthoBasis:
@@ -190,28 +164,26 @@ def orthobasis(phi: SymbolLike, n: int, precision: str | None = None) -> OrthoBa
     The backend is chosen, and an automatic f64 result verified, as in
     ``orthopoly``.
     """
-    return _solve(phi, n, precision, _orthobasis_f64, _orthobasis_hp, _basis_residual)
-
-
-def _basis_residual(phi: SymbolLike, basis: OrthoBasis) -> float:
-    return basis.residual
+    return _solve(phi, n, precision, _orthobasis_f64, _orthobasis_hp)
 
 
 def _orthobasis_f64(phi: SymbolLike, n: int) -> OrthoBasis:
-    m = gram_mod.gram_matrix(phi, n)
+    coeffs = np.asarray(phi.taylor(n + 1), dtype=complex)
+    lower = _factor(coeffs, PIVOT_BREAKDOWN_RATIO)
     # rows of C^{-1} as the solutions of C^T x = e_k, like orthopoly: these keep
     # the per-degree accuracy that forward substitution on the columns loses
-    q = solve_triangular(_factor_f64(m), np.eye(n + 1), lower=True, trans="T").T
+    q = solve_triangular(lower, np.eye(n + 1), lower=True, trans="T", check_finite=False).T
     polys = tuple(OrthoPoly(k, q[k, : k + 1]) for k in range(n + 1))
-    return OrthoBasis(polys, phi, "f64", gram_mod.gram_defect(m.entries, q))
+    return OrthoBasis(polys, phi, "f64", gram_mod.gram_defect(coeffs, q))
 
 
 def _orthobasis_hp(phi: SymbolLike, n: int) -> OrthoBasis:
     with workprec():
-        m = _gram_mp(phi, n)
-        lower = _cholesky_mp(m)
-        polys = tuple(_inverse_row_mp(lower, k) for k in range(n + 1))
-        residual = float(_residual_hp(m, [p.hp_coefficients for p in polys]))
+        coeffs = _taylor_mp(phi, n)
+        upper = _factor(coeffs).T.tolist()
+        polys = tuple(_inverse_row_mp(upper, k) for k in range(n + 1))
+        rows = [p.hp_coefficients for p in polys]
+        residual = float(_residual_hp(gram_mod.gram_entries(coeffs).tolist(), rows))
     return OrthoBasis(polys, phi, "hp", residual)
 
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from hbortho import catalog
+from hbortho import PoleTerm, SmirnovSymbol, catalog
+
+TWO_POLES = SmirnovSymbol(0.3 - 0.1j, (PoleTerm(1.0, 1, 1.0), PoleTerm(-1.0, 2, 0.5j)))
 
 
 @pytest.fixture(scope="session")

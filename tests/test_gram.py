@@ -1,9 +1,10 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_admissible_ab
+from conftest import TWO_POLES, random_admissible_ab
 from hbortho import (
     CatalogEntry,
     PoleTerm,
@@ -18,7 +19,8 @@ from hbortho import (
     sarason_symbol,
     toeplitz_conj_apply,
 )
-from hbortho.gram import cholesky_factor
+from hbortho.backends import F64_EPS, cond_bound
+from hbortho.gram import gram_entries, schur_factor
 
 
 def brute_inner(phi, j, k):
@@ -99,7 +101,7 @@ class TestGramMatrix:
         for entry in entries:
             gm = gram_matrix(entry.phi, n)
             assert np.allclose(gm.entries, np.conj(gm.entries.T))
-            pivots = np.real(np.diag(cholesky_factor(gm.entries))) ** 2
+            pivots = np.real(np.diag(np.linalg.cholesky(gm.entries))) ** 2
             assert pivots.min() > 0
             assert np.all(np.real(np.diag(gm.entries)) >= 1.0 - 1e-12)
 
@@ -113,6 +115,53 @@ class TestGramMatrix:
                 direct = hb_norm_squared(entry.phi, p)
                 form = gm.quadratic_form(p).real
                 assert abs(direct - form) <= 1e-10 * (1 + abs(direct))
+
+
+def random_pole_symbol(rng, max_poles=3, max_order=3):
+    """Random symbol with 1..max_poles distinct poles, each of order 1..max_order."""
+    count = int(rng.integers(1, max_poles + 1))
+    angles = 2 * np.pi * (rng.uniform() + np.arange(count) / count)
+    terms = tuple(
+        PoleTerm(complex(np.exp(1j * angle)), int(rng.integers(1, max_order + 1)),
+                 complex(rng.normal(), rng.normal()))
+        for angle in angles
+    )
+    return SmirnovSymbol(complex(rng.normal(), rng.normal()), terms)
+
+
+class TestSchurFactor:
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    def test_matches_cholesky(self, entries, n):
+        rng = np.random.default_rng(n)
+        symbols = [e.phi for e in entries] + [random_pole_symbol(rng) for _ in range(60)]
+        for phi in symbols:
+            ref = np.linalg.cholesky(gram_matrix(phi, n).entries)
+            got = schur_factor(phi.taylor(n + 1))
+            assert np.all(np.diag(got).imag == 0) and np.all(np.diag(got).real > 0)
+            err = np.max(np.abs(got - ref))
+            assert err <= F64_EPS * cond_bound(phi, n) * np.max(np.abs(ref)), phi
+
+    def test_hp_reproduces_gram_entries(self, entries):
+        with mpmath.workprec(160):
+            for phi in [e.phi for e in entries] + [TWO_POLES]:
+                coeffs = np.array(phi.taylor_mp(25), dtype=object)
+                lower = schur_factor(coeffs)
+                diff = lower @ np.conj(lower.T) - gram_entries(coeffs)
+                assert max(abs(x) for x in diff.ravel()) < mpmath.mpf("1e-40"), phi
+
+    def test_pivot_floor(self):
+        coeffs = TWO_POLES.taylor(65)
+        pivots = np.diag(schur_factor(coeffs)).real ** 2
+        ratio = pivots.min() / pivots.max()
+        schur_factor(coeffs, 0.5 * ratio)
+        with pytest.raises(np.linalg.LinAlgError, match="pivot collapse"):
+            schur_factor(coeffs, 2 * ratio)
+
+    def test_non_finite_coefficients(self):
+        coeffs = np.ones(8, dtype=complex)
+        coeffs[5] = np.nan
+        with pytest.raises(np.linalg.LinAlgError, match="not finite"):
+            schur_factor(coeffs)
 
 
 class TestToeplitzAction:

@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import max_basis_diff
+from conftest import TWO_POLES, max_basis_diff
 from hbortho import (
     NumericalBreakdown,
     PoleTerm,
@@ -25,9 +25,6 @@ from hbortho import gram as gram_mod
 from hbortho import oracle as oracle_mod
 from hbortho.backends import AUTO_F64_TOL, F64_EPS, auto_precision, cond_bound, resolve_precision
 from hbortho.oracle import OrthoBasis, OrthoPoly
-
-TWO_POLES = SmirnovSymbol(0.3 - 0.1j, (PoleTerm(1.0, 1, 1.0), PoleTerm(-1.0, 2, 0.5j)))
-
 
 def exact_unit_pole_solution():
     """Degree-2 solution for phi = 1/(1-z) by exact rational elimination.
@@ -112,11 +109,12 @@ class TestOrthopoly:
             orthopoly(stream, 24, precision="f64")
 
     @pytest.mark.parametrize("precision", [None, "f64"])
-    def test_overflow_is_breakdown(self, precision):
-        # finite coefficients whose Gram products overflow double precision
+    @pytest.mark.parametrize("solve", [orthopoly, orthobasis])
+    def test_overflow_is_breakdown(self, solve, precision):
+        # finite coefficients whose Gram products would overflow double precision
         stream = TaylorStream(lambda n: 10.0 ** (5 * n), label="overflow")
-        with np.errstate(over="ignore"), pytest.raises(NumericalBreakdown):
-            orthopoly(stream, 40, precision=precision)
+        with pytest.raises(NumericalBreakdown):
+            solve(stream, 40, precision=precision)
 
 
 class TestOrthobasis:
@@ -165,6 +163,18 @@ class TestOrthobasis:
             basis.symbol, [p.coefficients for p in basis.polys]
         )
         assert abs(defect - basis.residual) < 1e-12
+        # against Q M Q^H from the Gram entries, on rows 1e-7 off so that the
+        # defect sits far above rounding
+        for phi in (blaschke_symbol(0.3), TWO_POLES):
+            basis = orthobasis(phi, 24, precision="f64")
+            rows = np.zeros((25, 25), dtype=complex)
+            for k, p in enumerate(basis.polys):
+                rows[k, : k + 1] = p.coefficients * (1 + 1e-7 * (k % 3 - 1))
+            gram = rows @ gram_matrix(phi, 24).entries @ np.conj(rows.T)
+            ref = np.max(np.abs(gram - np.eye(25)))
+            got = orthonormality_defect(phi, list(rows))
+            assert ref > 1e-8
+            assert abs(got - ref) <= 1e-6 * ref
 
 
 def lu_reference_basis(phi, n):
@@ -190,15 +200,19 @@ def lu_reference_basis(phi, n):
 class TestOneFactor:
     def test_basis_factors_once(self, monkeypatch):
         calls = []
-        real = gram_mod.cholesky_factor
+        real = gram_mod.schur_factor
 
         def counting(*args, **kwargs):
             calls.append(args[0].shape)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(gram_mod, "cholesky_factor", counting)
+        def never(*args, **kwargs):
+            raise AssertionError("the f64 routes do not assemble the Gram matrix")
+
+        monkeypatch.setattr(gram_mod, "schur_factor", counting)
+        monkeypatch.setattr(gram_mod, "gram_entries", never)
         orthobasis(blaschke_symbol(0.5), 40, precision="f64")
-        assert calls == [(41, 41)]
+        assert calls == [(41,)]
         orthopoly(blaschke_symbol(0.5), 40, precision="f64")
         assert len(calls) == 2
 
