@@ -42,7 +42,8 @@ AUTO_F64_TOL = 1e-8
 def cond_bound(phi, n: int) -> float:
     """O(n) upper bound 1 + (sum_{k<=n} |phi_k|)^2 on cond(M) of the
     (n+1) x (n+1) Gram matrix: ||L||_2^2 <= ||L||_1 ||L||_inf for the Toeplitz L."""
-    total = float(np.sum(np.abs(phi.taylor(n + 1))))
+    with np.errstate(over="ignore"):  # a sum past the float range is the bound inf
+        total = float(np.sum(np.abs(phi.taylor(n + 1))))
     return 1.0 + total * total  # a float ** 2 would raise OverflowError, not give inf
 
 

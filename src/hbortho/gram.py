@@ -59,11 +59,7 @@ class GramMatrix:
         """<p, q> evaluated through the matrix; q defaults to p."""
         if q is None:
             q = p
-        n = self.size
-        pv = np.zeros(n, dtype=complex)
-        pv[: len(p)] = p
-        qv = np.zeros(n, dtype=complex)
-        qv[: len(q)] = q
+        pv, qv = (np.pad(np.asarray(v, dtype=complex), (0, self.size - len(v))) for v in (p, q))
         return complex(pv @ (self.entries @ np.conj(qv)))
 
 
@@ -112,7 +108,7 @@ def schur_factor(coeffs: np.ndarray, pivot_floor: float = 0.0) -> np.ndarray:
     C[k,k]^2 below ``pivot_floor`` times the largest one.
     """
     n1 = len(coeffs)
-    if not np.abs(coeffs).sum() < np.inf:
+    if not np.abs(coeffs).max() < np.inf:
         raise np.linalg.LinAlgError("Taylor coefficients are not finite")
     rows = np.zeros((n1, n1), dtype=coeffs.dtype)  # row k is column k of C
     u = np.zeros(n1, dtype=coeffs.dtype)
@@ -193,13 +189,8 @@ def hb_norm_squared(phi: SymbolLike, p: np.ndarray) -> float:
 
 def poly_inner(phi: SymbolLike, p: np.ndarray, q: np.ndarray) -> complex:
     """<p, q> in H(b) via the Toeplitz route (independent of gram_matrix)."""
-    p = np.asarray(p, dtype=complex)
-    q = np.asarray(q, dtype=complex)
     width = max(len(p), len(q))
-    pv = np.zeros(width, dtype=complex)
-    pv[: len(p)] = p
-    qv = np.zeros(width, dtype=complex)
-    qv[: len(q)] = q
+    pv, qv = (np.pad(np.asarray(v, dtype=complex), (0, width - len(v))) for v in (p, q))
     tp = toeplitz_conj_apply(phi, pv)
     tq = toeplitz_conj_apply(phi, qv)
     return complex(np.dot(pv, np.conj(qv)) + np.dot(tp, np.conj(tq)))

@@ -290,9 +290,9 @@ class _ReducedSystem:
         ratios = (np.sum(np.abs(band[:d]), axis=0) + np.abs(band[d])) / np.abs(band[d])
         step_log = math.log10(float(np.max(ratios)) + 2.0)
         stride = max(1, int(80.0 / step_log))
-        steps = np.ascontiguousarray((-band_w[:d] / band_w[d]).T)  # row k: step k's weights
+        neg_band = np.ascontiguousarray(-band_w[:d].T)  # -(b . w) = (-b) . w exactly
         for k in range(band_rows):
-            w[k + d] = steps[k].dot(w[k : k + d])
+            np.divide(neg_band[k] @ w[k : k + d], band_w[d, k], out=w[k + d])
             logscale[k + d] = s_cur
             if (k % stride) == stride - 1:
                 peak = float(np.max(np.abs(w[k + 1 : k + d + 1])))

@@ -1,3 +1,5 @@
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
@@ -162,6 +164,13 @@ class TestSchurFactor:
         coeffs[5] = np.nan
         with pytest.raises(np.linalg.LinAlgError, match="not finite"):
             schur_factor(coeffs)
+
+    def test_coefficients_near_float_max(self):
+        # their sum is past the float range; the finiteness check must not overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lower = schur_factor(np.full(41, 1e308 + 0j))
+        assert np.isfinite(lower).all()
 
 
 class TestToeplitzAction:

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -120,6 +121,15 @@ class TestOrthopoly:
         stream = TaylorStream(lambda n: 10.0 ** (5 * n), label="overflow")
         with pytest.raises(NumericalBreakdown):
             orthobasis(stream, 40, precision=precision)
+
+    @pytest.mark.parametrize("solve", [orthopoly, orthobasis])
+    def test_near_float_max_is_breakdown_without_warning(self, solve):
+        # phi_39 = phi_40 = 1e308: coefficient sums pass the float range
+        stream = TaylorStream(lambda n: 10.0 ** min(8 * n, 308), label="near float max")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalBreakdown):
+                solve(stream, 40)
 
 
 class TestOrthobasis:
