@@ -73,11 +73,12 @@ def workprec():
 
 def solve_small(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve a x = b by Gaussian elimination with partial pivoting, in the
-    arithmetic of the arrays' element type (numpy.linalg takes neither
-    clongdouble nor mpmath numbers).
+    arithmetic of the arrays' element type (numpy.linalg does not take
+    mpmath numbers).
 
-    Meant for the few-by-few border systems; there is no singularity
-    threshold, only an exact zero pivot raises ``numpy.linalg.LinAlgError``.
+    Meant for the recurrence's few-by-few hp border systems; there is no
+    singularity threshold, only an exact zero pivot raises
+    ``numpy.linalg.LinAlgError``.
     """
     m = a.copy()
     rhs = b.copy()

@@ -20,7 +20,7 @@ from scipy.linalg import toeplitz
 from scipy.signal import fftconvolve
 
 from .catalog import CatalogEntry
-from .symbol import SymbolLike
+from .symbol import SmirnovSymbol, SymbolLike
 
 
 def monomial_inner(phi: SymbolLike, j: int, k: int) -> complex:
@@ -135,6 +135,27 @@ def schur_factor(coeffs: np.ndarray, pivot_floor: float = 0.0) -> np.ndarray:
     if (min(pivots) / max(pivots)) ** 2 < pivot_floor:
         raise np.linalg.LinAlgError("pivot collapse in the Schur factorization")
     return rows.T
+
+
+def rational_form(phi: SmirnovSymbol) -> tuple[np.ndarray, np.ndarray]:
+    """Conjugated coefficients (conj alpha, conj beta) of phi = beta / alpha in
+    lowest terms, each of length D + 1 with D = deg alpha.
+
+    alpha = prod_zeta (1 - conj(zeta) z)^{m_zeta}, m_zeta the highest pole
+    order at zeta, so alpha_0 = 1; beta = alpha phi is a polynomial of degree
+    at most D, the first D + 1 coefficients of the product of the series.
+    Then G = T(conj alpha)^{-1} T(conj beta) in M = I + G G^H (see
+    ``schur_factor``), with T(.) the lower Toeplitz matrix of a sequence.
+    """
+    orders: dict[complex, int] = {}
+    for t in phi.pole_terms:
+        orders[t.pole] = max(orders.get(t.pole, 0), t.order)
+    alpha = np.ones(1, dtype=complex)
+    for pole, order in orders.items():
+        for _ in range(order):
+            alpha = np.convolve(alpha, [1.0, -np.conj(pole)])
+    beta = np.convolve(alpha, phi.taylor(len(alpha)))[: len(alpha)]
+    return np.conj(alpha), np.conj(beta)
 
 
 def gram_defect(coeffs: np.ndarray, rows: np.ndarray) -> float:

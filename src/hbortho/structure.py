@@ -9,9 +9,12 @@ the last row alone) empirically produces
 
 with T upper triangular and (2m+1)-banded whose diagonals are low-degree
 polynomials in the row index, and N supported on the last 2m+1 rows.  This
-module measures that structure (never assumes it), and exploits it to solve
-for orthonormal polynomials in roughly O(n m^2) arithmetic after an O(n^2)
-boundary-row assembly, versus the O(n^3) dense factorization.
+module measures that structure (never assumes it).  Once a calibration
+confirms it, the structured solver uses the band that the measurement
+reflects: with phi = beta / alpha and alpha = (1 - z)^m, the Gram matrix is
+M = T(conj alpha)^{-1} K T(conj alpha)^{-H} with K Hermitian and banded of
+half-bandwidth m, and one banded Cholesky factorization of K gives p_n in
+O(n m^2) arithmetic, against O(n^2) for the dense Schur factorization.
 
 ``S`` here always means the matrix of the equations <p_n, z^k>, i.e. the
 transpose (= entrywise conjugate) of the Hermitian Gram matrix; for real
@@ -20,16 +23,15 @@ symbol data the two coincide.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.linalg import cholesky_banded
+from scipy.linalg.lapack import ztbtrs
 
 from . import gram as gram_mod
 from . import oracle as oracle_mod
-from .backends import solve_small
 from .closed_forms import detect_rational_ab, rational_ab_basis
 from .gram import system_residual
 from .oracle import NumericalBreakdown, OrthoPoly
@@ -222,157 +224,24 @@ def detect_structure(phi: SmirnovSymbol, n: int) -> StructureReport:
 # structured solver
 # ---------------------------------------------------------------------------
 
-def _system_row(coeffs: np.ndarray, r: int, n: int) -> np.ndarray:
-    """Row r of S (the equation <., z^r>) assembled by one correlation.
-
-    S_{r,j} = delta_{r,j} + sum_d phi_{r-d} conj(phi_{j-d}), a convolution of
-    the reversed prefix phi_r..phi_0 with conj(phi).
-    """
-    a = coeffs[: r + 1][::-1]
-    b = np.conj(coeffs[: n + 1])
-    if n > 512:
-        row = fftconvolve(a, b)[: n + 1]
-    else:
-        row = np.convolve(a, b)[: n + 1]
-    row[r] += 1.0
-    return row
-
-
-class _ReducedSystem:
-    """The reduced system in bordered form.
-
-    Band rows 0..n-2m-1 come from the calibrated diagonal polynomials;
-    boundary rows are assembled exactly from the Gram rows.  The homogeneous
-    border basis W (coefficients of c_k on the border c_0..c_{2m-1}) grows
-    like the dominant recurrence mode, so it is stored together with a
-    running scalar log-scale; coefficients whose true size underflows double
-    precision come out as exact zeros.
-
-    For m >= 2 the dominant modes come in conjugate pairs and the boundary
-    contractions suffer oscillatory cancellation, so the border algebra runs
-    in extended precision there (the final coefficients are float64 either
-    way).
-    """
-
-    def __init__(self, phi: SmirnovSymbol, n: int, calibration: StructureReport):
-        m = calibration.pole_order
-        d = 2 * m
-        n1 = n + 1
-        band_rows = n1 - (d + 1)
-        coeffs = phi.taylor(n1)
-        work_dtype = complex if m == 1 else np.clongdouble
-
-        kk = np.arange(band_rows)
-        band = np.empty((d + 1, band_rows), dtype=complex)
-        for off, table in enumerate(calibration.diagonal_tables):
-            band[off] = _newton_eval(table, kk)
-        if band_rows and np.min(np.abs(band[d])) < 1e-12 * calibration.scale:
-            raise StructureRefuted("leading band diagonal vanishes")
-
-        # reduced boundary row k combines the system rows k .. min(k+d, n)
-        rows = [_system_row(coeffs, r, n) for r in range(band_rows, n1)]
-        boundary = np.zeros((d + 1, n1), dtype=complex)
-        for k in range(band_rows, n1):
-            acc = np.zeros(n1, dtype=complex)
-            for i in range(min(d, n - k) + 1):
-                acc += (-1) ** i * math.comb(d, i) * rows[k + i - band_rows]
-            boundary[k - band_rows] = acc
-
-        # homogeneous border propagation with shared scalar rescaling; the
-        # growth per step is bounded by the band ratios, so the overflow
-        # guard only needs to run every `stride` steps
-        width = d
-        band_w = band.astype(work_dtype)
-        w = np.zeros((n, width), dtype=work_dtype)
-        logscale = np.zeros(n)
-        w[:width] = np.eye(width)
-        s_cur = 0.0
-        ratios = (np.sum(np.abs(band[:d]), axis=0) + np.abs(band[d])) / np.abs(band[d])
-        step_log = math.log10(float(np.max(ratios)) + 2.0)
-        stride = max(1, int(80.0 / step_log))
-        neg_band = np.ascontiguousarray(-band_w[:d].T)  # -(b . w) = (-b) . w exactly
-        for k in range(band_rows):
-            np.divide(neg_band[k] @ w[k : k + d], band_w[d, k], out=w[k + d])
-            logscale[k + d] = s_cur
-            if (k % stride) == stride - 1:
-                peak = float(np.max(np.abs(w[k + 1 : k + d + 1])))
-                if peak > 1e80:
-                    g = math.log(peak)
-                    w[k + 1 : k + d + 1] /= np.asarray(peak, dtype=np.longdouble)
-                    logscale[k + 1 : k + d + 1] += g
-                    s_cur += g
-
-        self.n = n
-        self.m = m
-        self.d = d
-        self.band_rows = band_rows
-        self.band = band
-        self.boundary = boundary
-        self.s_max = float(logscale.max()) if n else 0.0
-        weights = np.exp(logscale - self.s_max).astype(np.longdouble)
-        self.scaled_w = w * weights[:, None]
-        # boundary equations restricted to the border unknowns and c_n
-        small = np.empty((d + 1, width + 1), dtype=work_dtype)
-        small[:, :width] = boundary[:, :n].astype(work_dtype) @ self.scaled_w
-        small[:, width] = boundary[:, n].astype(work_dtype)
-        self.small = small
-        self.work_dtype = work_dtype
-
-    def solve_t_normalized(self) -> np.ndarray:
-        """Solution of the reduced system at normalizer t = 1.
-
-        The right-hand side lives only on the boundary rows, so the solve is
-        a single small dense system on (scaled border, c_n) followed by the
-        basis contraction.  Columns are equilibrated first: the stored basis
-        magnitude varies over the inter-event growth range, and at large n
-        the subdominant border directions underflow outright, making the raw
-        columns collinear; equilibration plus a least-squares fallback drops
-        exactly the directions whose effect on the coefficients is already
-        zero.
-        """
-        n, d, width = self.n, self.d, self.d
-        rhs = np.empty(d + 1, dtype=self.work_dtype)
-        for k in range(self.band_rows, n + 1):
-            rhs[k - self.band_rows] = (-1) ** (n - k) * math.comb(d, n - k)
-
-        colscale = np.max(np.abs(self.small), axis=0)
-        colscale[colscale == 0] = 1.0
-        balanced = self.small / colscale
-        if self.work_dtype is np.clongdouble:
-            try:
-                sol = solve_small(balanced, rhs)
-            except np.linalg.LinAlgError as exc:
-                raise NumericalBreakdown("border system is singular") from exc
-        else:
-            try:
-                sol = np.linalg.solve(balanced, rhs)
-                if not np.isfinite(sol).all():
-                    raise np.linalg.LinAlgError("non-finite solution")
-            except np.linalg.LinAlgError:
-                sol, _, rank, _ = np.linalg.lstsq(balanced, rhs, rcond=None)
-                if rank == 0:
-                    raise NumericalBreakdown("border system collapsed to rank zero")
-        sol = sol / colscale
-        u = np.empty(n + 1, dtype=complex)
-        u[:n] = (self.scaled_w @ sol[:width]).astype(complex)
-        u[n] = complex(sol[width])
-        return u
-
-
 def structured_solve(
     phi: SmirnovSymbol, n: int, calibration: StructureReport | None = None
 ) -> OrthoPoly:
-    """Degree-n orthonormal polynomial through the reduced banded system.
+    """Degree-n orthonormal polynomial through one banded Cholesky factorization.
 
-    Pipeline: calibrate the band structure at a small size, extend the fitted
-    diagonal polynomials to all rows, assemble the 2m+1 boundary rows of the
-    reduced system exactly, and solve by bordered block elimination with the
-    first 2m coefficients plus (c_n, t) as border unknowns: the band rows
-    express every interior coefficient as a linear function of the border,
-    the boundary rows then close a small dense system, and the solution is
-    normalized exactly like the dense oracle.  Arithmetic is O(n m^2) plus an
-    O(m n^2) vectorized boundary-row assembly, against O(n^3) for the dense
-    factorization.
+    Pipeline: calibrate the reduced band at a small size (it must confirm),
+    then factor in the rational form phi = beta / alpha
+    (``gram.rational_form``).  With a = conj alpha and b = conj beta,
+    M = I + G G^H = T(a)^{-1} K T(a)^{-H}, where
+
+        K = T(a) T(a)^H + T(b) T(b)^H
+
+    is Hermitian and banded with half-bandwidth D = deg alpha = m.  LAPACK's
+    banded Cholesky gives K = R R^H, so M = C C^H with C = T(a)^{-1} R, and
+    p_n is row n of C^{-1} = R^{-1} T(a): c = x^T T(a) where R^T x = e_n.
+    Since a_0 = 1, c_n = x_n = 1/R[n,n] is real positive and no normalizer is
+    needed.  Work is O(n m^2).  cond(K) does not grow with n; all the growth
+    of cond(M) sits in T(a)^{-1}, which is never formed or solved with.
     """
     m = _pole_order_at_one(phi)
     if n < 4 * m + 2:
@@ -387,17 +256,30 @@ def structured_solve(
         calibration = detect_structure(phi, 4 * m + CALIBRATION_PAD)
     if not calibration.confirmed:
         raise StructureRefuted(calibration.summary())
+    lead = _newton_eval(calibration.diagonal_tables[2 * m], np.arange(n - 2 * m))
+    if np.min(np.abs(lead)) < 1e-12 * calibration.scale:
+        raise StructureRefuted("leading band diagonal vanishes")
 
-    system = _ReducedSystem(phi, n, calibration)
-    u = system.solve_t_normalized()
-    if not np.isfinite(u).all():
-        raise NumericalBreakdown("border solve returned non-finite values")
-    un = u[n]
-    if abs(un.imag) > 1e-10 * max(np.max(np.abs(u)), 1e-300) or un.real <= 0:
-        raise NumericalBreakdown(
-            f"normalizing entry {un} is not real positive at working precision"
-        )
-    c = u / math.sqrt(un.real)
+    a, b = gram_mod.rational_form(phi)
+    d = len(a) - 1
+    n1 = n + 1
+    # lower band storage k[off, j] = K[j + off, j] = sum_{s <= j} a_{s+off} conj(a_s)
+    # + (same for b): a cumulative sum while s <= d - off, then constant
+    k = np.empty((d + 1, n1), dtype=complex)
+    for off in range(d + 1):
+        head = np.cumsum(a[off:] * np.conj(a[: d + 1 - off]) + b[off:] * np.conj(b[: d + 1 - off]))
+        k[off, : d + 1 - off] = head
+        k[off, d + 1 - off :] = head[-1]
+    try:
+        r = cholesky_banded(k, lower=True, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalBreakdown(f"banded Cholesky of K failed: {exc}") from exc
+    e_n = np.zeros((n1, 1), dtype=complex)
+    e_n[n] = 1.0
+    x, info = ztbtrs(r, e_n, uplo="L", trans="T")
+    c = np.convolve(x[::-1, 0], a)[:n1][::-1]
+    if info or not np.isfinite(c).all():
+        raise NumericalBreakdown("banded solve returned non-finite values")
     poly = OrthoPoly(n, c)
     rel = system_residual(phi, c)
     if rel > 1e-6:

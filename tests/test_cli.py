@@ -156,6 +156,16 @@ class TestBenchCommand:
         assert lines[0].startswith("n,dense_seconds,structured_seconds")
         assert len(lines) == 3
 
+    def test_order_two_symbol(self, capsys):
+        code, out, _ = run_cli(
+            capsys, ["bench", "--symbol", "1;(1,1,1);(1,1,2)", "--sizes", "64,256,1024"]
+        )
+        assert code == 0
+        header, *rows = out.strip().splitlines()
+        column = header.split(",").index("max_coeff_diff")
+        assert len(rows) == 3
+        assert all(float(row.split(",")[column]) <= 1e-7 for row in rows)
+
     def test_repeats(self, capsys, monkeypatch):
         from hbortho import structure
 

@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import math
 
@@ -14,12 +15,13 @@ from hbortho import (
     bench_solvers,
     build_recurrence,
     detect_structure,
+    gram,
     gram_matrix,
     orthopoly,
     sarason_symbol,
     structured_solve,
 )
-from hbortho.structure import _ReducedSystem, _system_row, system_residual
+from hbortho.structure import system_residual
 
 
 def shift_reduction_binomial(mat, d: int) -> np.ndarray:
@@ -48,6 +50,20 @@ def double_pole_symbol(r0, r1, r2):
 
 def unit_pole():
     return SmirnovSymbol(0.0, (PoleTerm(1.0, 1, 1.0),))
+
+
+def random_at_one(rng, order):
+    """A + sum_{d <= order} B_d / (1 - z)^d with |A| <= 2, 0.25 <= |B_d| <= 2."""
+    const = cmath.rect(rng.uniform(0.0, 2.0), rng.uniform(0.0, 2 * math.pi))
+    terms = tuple(
+        PoleTerm(1.0, d, cmath.rect(rng.uniform(0.25, 2.0), rng.uniform(0.0, 2 * math.pi)))
+        for d in range(1, order + 1)
+    )
+    return SmirnovSymbol(const, terms)
+
+
+def rel_coeff_error(c, ref):
+    return float(np.max(np.abs(c - ref)) / np.max(np.abs(ref)))
 
 
 def band_constants(r0, r1, r2):
@@ -225,8 +241,8 @@ class TestStructuredSolve:
         assert np.max(np.abs(fast.coefficients - ref.coefficients)) < 1e-8
 
     def test_large_n_underflow_region(self):
-        # true low-order coefficients sit far below double range: the scaled
-        # propagation must return exact zeros there, not garbage
+        # true low-order coefficients sit far below double range: the banded
+        # back substitution must underflow to exact zeros there, not garbage
         fast = structured_solve(unit_pole(), 1024)
         assert np.isfinite(fast.coefficients).all()
         assert fast.coefficients[-1].real > 0
@@ -237,13 +253,14 @@ class TestStructuredSolve:
         with pytest.raises(ValueError):
             structured_solve(phi, 24)
 
-    def test_singular_border_is_breakdown(self):
-        # an exact zero pivot in the extended-precision border solve (m = 2)
+    def test_singular_k_is_breakdown(self, monkeypatch):
+        # conj(alpha)_0 = 0 and conj(beta) = 0 make K singular: zero first pivot
         phi = double_pole_symbol(1.0, 1.0, 1.0)
-        system = _ReducedSystem(phi, 20, detect_structure(phi, 16))
-        system.small = np.zeros_like(system.small)
-        with pytest.raises(NumericalBreakdown):
-            system.solve_t_normalized()
+        alpha, beta = gram.rational_form(phi)
+        alpha[0] = 0.0
+        monkeypatch.setattr(gram, "rational_form", lambda _: (alpha, np.zeros_like(beta)))
+        with pytest.raises(NumericalBreakdown, match="Cholesky"):
+            structured_solve(phi, 20)
 
     def test_refuted_calibration_raises(self):
         rep = detect_structure(unit_pole(), 12)
@@ -252,17 +269,50 @@ class TestStructuredSolve:
             structured_solve(unit_pole(), 24, calibration=broken)
 
 
-class TestFastKernels:
-    def test_system_row_matches_gram(self):
-        phi = double_pole_symbol(0.5, 0.25, 1.0)
-        n = 14
-        gm = gram_matrix(phi, n)
-        sys = gm.system_matrix()
-        coeffs = phi.taylor(n + 1)
-        for r in (0, 5, n):
-            row = _system_row(coeffs, r, n)
-            assert np.max(np.abs(row - sys[r])) < 1e-11
+class TestBandedSolve:
+    def test_order_two_returns_and_matches_dense(self):
+        # order-2 symbols used to break down at n = 21..192
+        rng = np.random.default_rng(2)
+        for _ in range(40):
+            phi = random_at_one(rng, 2)
+            n = int(rng.integers(10, 200))
+            fast = structured_solve(phi, n)
+            ref = orthopoly(phi, n, precision="f64")
+            assert rel_coeff_error(fast.coefficients, ref.coefficients) <= 1e-10, n
 
+    @pytest.mark.parametrize(
+        "const, coeff, n",
+        [
+            (-0.7749094371064291 + 1.3425621168416924j, -1.212675706870235 - 1.4225386264620994j, 2048),
+            (0.10778137018515711 + 0.15476996936000104j, 0.592816842339148 - 1.5236072029261882j, 4096),
+        ],
+    )
+    def test_order_one_spikes(self, const, coeff, n):
+        # order-1 symbols whose residual used to reach 1e-8
+        phi = SmirnovSymbol(const, (PoleTerm(1.0, 1, coeff),))
+        assert system_residual(phi, structured_solve(phi, n).coefficients) <= 1e-12
+
+    @pytest.mark.parametrize("order, tol", [(1, 1e-13), (2, 1e-13), (3, 1e-11)])
+    def test_accuracy_against_hp(self, order, tol):
+        rng = np.random.default_rng(60 + order)
+        for _ in range(10):
+            phi = random_at_one(rng, order)
+            n = int(rng.integers(4 * order + 2, 49))
+            fast = structured_solve(phi, n)
+            ref = orthopoly(phi, n, precision="hp")
+            assert rel_coeff_error(fast.coefficients, ref.coefficients) <= tol, n
+
+    def test_rational_form(self):
+        # phi = beta / alpha: alpha phi agrees with beta, and vanishes past degree D
+        phi = SmirnovSymbol(0.5j, (PoleTerm(1.0, 1, 2.0), PoleTerm(1.0, 3, -1.0), PoleTerm(1j, 2, 0.3)))
+        alpha, beta = (np.conj(v) for v in gram.rational_form(phi))
+        assert len(alpha) == 6 and alpha[0] == 1
+        product = np.convolve(alpha, phi.taylor(40))[:40]
+        assert np.max(np.abs(product[:6] - beta)) <= 1e-14
+        assert np.max(np.abs(product[6:])) <= 1e-11
+
+
+class TestFastKernels:
     @pytest.mark.parametrize("n", [30, 600])  # direct and FFT convolutions
     def test_system_residual_matches_dense(self, n):
         phi = double_pole_symbol(0.2, 1.0, 0.5)
