@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.signal import lfilter
 
 from .symbol import PoleTerm, SmirnovSymbol, compose_monomial
 
@@ -40,18 +41,10 @@ class RationalFunction:
         return num / den
 
     def taylor(self, count: int) -> np.ndarray:
-        """Power-series coefficients of numer/denom by long division."""
-        num = np.zeros(count, dtype=complex)
-        num[: min(count, len(self.numer))] = self.numer[:count]
-        den = np.zeros(count, dtype=complex)
-        den[: min(count, len(self.denom))] = self.denom[:count]
-        out = np.zeros(count, dtype=complex)
-        for n in range(count):
-            acc = num[n]
-            for k in range(1, n + 1):
-                acc -= den[k] * out[n - k]
-            out[n] = acc / den[0]
-        return out
+        """Power-series coefficients of numer/denom: its impulse response."""
+        impulse = np.zeros(count, dtype=complex)
+        impulse[0] = 1.0
+        return lfilter(self.numer, self.denom, impulse)
 
 
 @dataclass(frozen=True)

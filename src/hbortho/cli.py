@@ -108,7 +108,8 @@ def _cmd_recurrence(args) -> int:
         report["error"] = str(exc)
         status = 1
     if args.verify and status == 0:
-        reference = oracle_mod.orthopoly(_ab_symbol(A, B), args.n, precision="f64")
+        phi = closed_forms.RationalABForm(A, B).symbol()
+        reference = oracle_mod.orthopoly(phi, args.n, precision="f64")
         diff = float(np.max(np.abs(reference.coefficients - poly.coefficients)))
         replay_ok = (
             recurrence.reduced_matrix_check(A, B, args.n) if args.n >= 4 else True
@@ -121,12 +122,6 @@ def _cmd_recurrence(args) -> int:
             status = 1
     _dump(report, args.output)
     return status
-
-
-def _ab_symbol(A: complex, B: complex) -> SmirnovSymbol:
-    from .symbol import PoleTerm
-
-    return SmirnovSymbol(A, (PoleTerm(1.0, 1, B),))
 
 
 def _cmd_structure(args) -> int:
@@ -270,7 +265,8 @@ def _cmd_verify(args) -> int:
                 continue
             n = int(rng.integers(4, 14))
             fast = recurrence.coefficients_via_recurrence(data, n)
-            ref = oracle_mod.orthopoly(_ab_symbol(A, B), n, precision="f64")
+            phi = closed_forms.RationalABForm(A, B).symbol()
+            ref = oracle_mod.orthopoly(phi, n, precision="f64")
             worst = max(worst, float(np.max(np.abs(fast.coefficients - ref.coefficients))))
             if not recurrence.reduced_matrix_check(A, B, 8):
                 raise ArithmeticError("reduction replay failed")
@@ -281,7 +277,7 @@ def _cmd_verify(args) -> int:
     run("recurrence[random-draws]", check_random_recurrence)
 
     def check_structured_m1():
-        phi = _ab_symbol(0.0, 1.0)
+        phi = closed_forms.RationalABForm(0.0, 1.0).symbol()
         fast = structure.structured_solve(phi, 24)
         ref = oracle_mod.orthopoly(phi, 24, precision="f64")
         diff = float(np.max(np.abs(fast.coefficients - ref.coefficients)))

@@ -38,7 +38,6 @@ from .backends import VALID_TAGS, solve_small, to_mpc, workprec
 from .closed_forms import RationalABForm, rational_ab_basis
 from .gram import gram_matrix, hb_norm_squared
 from .oracle import OrthoPoly
-from .symbol import PoleTerm, SmirnovSymbol
 
 log = logging.getLogger(__name__)
 
@@ -194,7 +193,7 @@ def coefficients_via_recurrence(
     if precision not in VALID_TAGS:
         raise ValueError(f"unknown precision tag {precision!r}; expected one of {VALID_TAGS}")
     if n < 2:
-        phi = SmirnovSymbol(data.A, (PoleTerm(1.0, 1, data.B),))
+        phi = RationalABForm(data.A, data.B).symbol()
         return oracle_mod.orthopoly(phi, n, precision=precision)
     if data.case_tag == CASE_DEGENERATE:
         basis = rational_ab_basis(RationalABForm(data.A, data.B), n)
@@ -292,7 +291,7 @@ def _validate(data: RecurrenceData, poly: OrthoPoly) -> None:
     res = recurrence_residual(data, c)
     if res > 1e-9 * top:
         raise SingularBorder(f"recurrence residual {res:.3e} too large")
-    phi = SmirnovSymbol(data.A, (PoleTerm(1.0, 1, data.B),))
+    phi = RationalABForm(data.A, data.B).symbol()
     norm_sq = hb_norm_squared(phi, c)
     if abs(norm_sq - 1.0) > 1e-7:
         raise SingularBorder(f"norm^2 of the result is {norm_sq}, not 1")
@@ -336,7 +335,7 @@ def reduced_matrix_check(A: complex, B: complex, n: int, tol: float = 1e-9) -> b
     if n < 4:
         raise ValueError("the replay needs n >= 4")
     data = build_recurrence(A, B)
-    phi = SmirnovSymbol(data.A, (PoleTerm(1.0, 1, data.B),))
+    phi = RationalABForm(data.A, data.B).symbol()
     m = gram_matrix(phi, n)
     sys = np.conj(m.entries)  # row k = equation <p_n, z^k>
     aug = np.zeros(n + 1, dtype=complex)

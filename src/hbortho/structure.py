@@ -9,12 +9,15 @@ the last row alone) empirically produces
 
 with T upper triangular and (2m+1)-banded whose diagonals are low-degree
 polynomials in the row index, and N supported on the last 2m+1 rows.  This
-module measures that structure (never assumes it).  Once a calibration
-confirms it, the structured solver uses the band that the measurement
-reflects: with phi = beta / alpha and alpha = (1 - z)^m, the Gram matrix is
-M = T(conj alpha)^{-1} K T(conj alpha)^{-H} with K Hermitian and banded of
-half-bandwidth m, and one banded Cholesky factorization of K gives p_n in
-O(n m^2) arithmetic, against O(n^2) for the dense Schur factorization.
+module measures that structure (never assumes it).  The structured solver
+serves every degree n >= 0 once a calibration at a fixed small size
+confirms it; a refuted calibration is its only refusal.  It factors the band
+in the symbol's rational form: with phi = beta / alpha and
+alpha = (1 - z)^m, the Gram matrix is M = T(conj alpha)^{-1} K
+T(conj alpha)^{-H} with K Hermitian and banded of half-bandwidth m, and one
+banded Cholesky factorization of K gives p_n in O(n m^2) arithmetic, against
+O(n^2) for the dense Schur factorization.  The closed-form family
+conj(A) B = -(1 + |A|^2) goes through the same factor.
 
 ``S`` here always means the matrix of the equations <p_n, z^k>, i.e. the
 transpose (= entrywise conjugate) of the Hermitian Gram matrix; for real
@@ -32,7 +35,6 @@ from scipy.linalg.lapack import ztbtrs
 
 from . import gram as gram_mod
 from . import oracle as oracle_mod
-from .closed_forms import detect_rational_ab, rational_ab_basis
 from .gram import system_residual
 from .oracle import NumericalBreakdown, OrthoPoly
 from .symbol import SmirnovSymbol
@@ -229,8 +231,9 @@ def structured_solve(
 ) -> OrthoPoly:
     """Degree-n orthonormal polynomial through one banded Cholesky factorization.
 
-    Pipeline: calibrate the reduced band at a small size (it must confirm),
-    then factor in the rational form phi = beta / alpha
+    Pipeline: calibrate the reduced band at size 4m + CALIBRATION_PAD, whatever
+    n is (a refuted calibration raises :class:`StructureRefuted`, the only
+    refusal), then factor in the rational form phi = beta / alpha
     (``gram.rational_form``).  With a = conj alpha and b = conj beta,
     M = I + G G^H = T(a)^{-1} K T(a)^{-H}, where
 
@@ -240,36 +243,30 @@ def structured_solve(
     banded Cholesky gives K = R R^H, so M = C C^H with C = T(a)^{-1} R, and
     p_n is row n of C^{-1} = R^{-1} T(a): c = x^T T(a) where R^T x = e_n.
     Since a_0 = 1, c_n = x_n = 1/R[n,n] is real positive and no normalizer is
-    needed.  Work is O(n m^2).  cond(K) does not grow with n; all the growth
-    of cond(M) sits in T(a)^{-1}, which is never formed or solved with.
+    needed.  Work is O(n m^2) for any n >= 0.  cond(K) does not grow with n;
+    all the growth of cond(M) sits in T(a)^{-1}, which is never formed or
+    solved with.
     """
     m = _pole_order_at_one(phi)
-    if n < 4 * m + 2:
-        raise ValueError(f"need n >= {4 * m + 2} for pole order {m}")
-
-    # the collapsed family (top band identically zero) has an explicit basis
-    form = detect_rational_ab(phi)
-    if form is not None:
-        return rational_ab_basis(form, n).polys[n]
-
+    if n < 0:
+        raise ValueError("degree n must be >= 0")
     if calibration is None:
         calibration = detect_structure(phi, 4 * m + CALIBRATION_PAD)
     if not calibration.confirmed:
         raise StructureRefuted(calibration.summary())
-    lead = _newton_eval(calibration.diagonal_tables[2 * m], np.arange(n - 2 * m))
-    if np.min(np.abs(lead)) < 1e-12 * calibration.scale:
-        raise StructureRefuted("leading band diagonal vanishes")
 
     a, b = gram_mod.rational_form(phi)
     d = len(a) - 1
     n1 = n + 1
     # lower band storage k[off, j] = K[j + off, j] = sum_{s <= j} a_{s+off} conj(a_s)
-    # + (same for b): a cumulative sum while s <= d - off, then constant
+    # + (same for b): a cumulative sum while s <= d - off, then constant; the
+    # head is clipped to the n + 1 columns that K has when n < d
     k = np.empty((d + 1, n1), dtype=complex)
     for off in range(d + 1):
         head = np.cumsum(a[off:] * np.conj(a[: d + 1 - off]) + b[off:] * np.conj(b[: d + 1 - off]))
-        k[off, : d + 1 - off] = head
-        k[off, d + 1 - off :] = head[-1]
+        head = head[:n1]
+        k[off, : len(head)] = head
+        k[off, len(head) :] = head[-1]
     try:
         r = cholesky_banded(k, lower=True, check_finite=False)
     except np.linalg.LinAlgError as exc:

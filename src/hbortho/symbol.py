@@ -71,10 +71,6 @@ class SmirnovSymbol:
             terms.append(PoleTerm(pole, int(t.order), coeff))
         object.__setattr__(self, "pole_terms", tuple(terms))
 
-    @property
-    def is_constant(self) -> bool:
-        return not self.pole_terms
-
     def taylor_coefficient(self, n: int) -> complex:
         """phi_n, using the binomial expansion of each (1 - conj(zeta) z)**-d."""
         if n < 0:

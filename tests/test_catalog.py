@@ -13,10 +13,32 @@ from hbortho import (
 )
 
 
+def long_division_taylor(f: RationalFunction, count: int) -> np.ndarray:
+    """Power-series coefficients of numer/denom by O(count^2) long division."""
+    num = np.zeros(count, dtype=complex)
+    num[: min(count, len(f.numer))] = f.numer[:count]
+    den = np.zeros(count, dtype=complex)
+    den[: min(count, len(f.denom))] = f.denom[:count]
+    out = np.zeros(count, dtype=complex)
+    for n in range(count):
+        acc = num[n]
+        for k in range(1, n + 1):
+            acc -= den[k] * out[n - k]
+        out[n] = acc / den[0]
+    return out
+
+
 def test_rational_function_taylor():
-    # 1/(1-z) via long division
     geo = RationalFunction((1.0,), (1.0, -1.0))
     assert np.allclose(geo.taylor(5), np.ones(5))
+
+
+def test_taylor_matches_long_division():
+    # the catalog's blaschke-c: b and a share the denominator 1 - z/2
+    entry = blaschke_entry(0.5)
+    for f in (entry.b, entry.a):
+        ref = long_division_taylor(f, 60)
+        assert np.max(np.abs(f.taylor(60) - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 def test_rational_function_eval():

@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -166,6 +168,17 @@ class TestBenchCommand:
         assert len(rows) == 3
         assert all(float(row.split(",")[column]) <= 1e-7 for row in rows)
 
+    def test_closed_form_family(self, capsys):
+        # the half-sum family goes through the banded factor like any symbol
+        code, out, _ = run_cli(
+            capsys, ["bench", "--symbol=-1;(2,1,1)", "--sizes", "16,64,512"]
+        )
+        assert code == 0
+        header, *rows = out.strip().splitlines()
+        column = header.split(",").index("max_coeff_diff")
+        assert len(rows) == 3
+        assert all(float(row.split(",")[column]) <= 1e-12 for row in rows)
+
     def test_repeats(self, capsys, monkeypatch):
         from hbortho import structure
 
@@ -227,3 +240,26 @@ class TestUsageErrors:
         code, _, err = run_cli(capsys, ["basis", "--symbol", "zzz", "--n", "3"])
         assert code == 2
         assert "error" in err
+
+
+def readme_cli_lines():
+    """The ``hbortho ...`` lines of the README's CLI block, comments stripped."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```")[1]
+    return [
+        line.split("#", 1)[0].strip()
+        for line in block.splitlines()
+        if line.startswith("hbortho ")
+    ]
+
+
+def test_readme_covers_every_command():
+    commands = {line.split()[1] for line in readme_cli_lines()}
+    assert commands == {"basis", "gram", "recurrence", "structure", "bench", "catalog", "verify"}
+
+
+@pytest.mark.parametrize("line", readme_cli_lines(), ids=lambda line: line.split()[1])
+def test_readme_example_runs(capsys, line):
+    argv = shlex.split(line)
+    code, _, err = run_cli(capsys, argv[1:])
+    assert code == 0, err

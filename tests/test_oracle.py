@@ -393,6 +393,20 @@ class TestRotationTransport:
             assert max_basis_diff(transported, direct) < 1e-9
 
 
+    @pytest.mark.parametrize("gamma", [math.pi / 3, math.pi])
+    def test_equivariance_hp(self, gamma):
+        # rotate_symbol stores the rotated poles in f64, so the direct hp basis
+        # belongs to a symbol one rounding away from the transported one: the
+        # bases agree to 1e-15 (7.2e-18 measured), not to the hp 1e-40
+        for phi in (sarason_symbol(), blaschke_symbol(0.5)):
+            moved = rotate_basis(orthobasis(phi, 12, precision="hp"), gamma)
+            direct = orthobasis(moved.symbol, 12, precision="hp")
+            for p, q in zip(moved.polys, direct.polys, strict=True):
+                assert p.hp_coefficients is not None
+                diff = max(abs(x - y) for x, y in zip(p.hp_coefficients, q.hp_coefficients))
+                assert diff <= 1e-15
+
+
 class TestCompositionLaw:
     def test_shift_classes_are_orthogonal(self):
         # under the composed symbol, dilated polynomials with different

@@ -9,6 +9,7 @@ from conftest import random_generic_ab
 from hbortho import (
     NumericalBreakdown,
     PoleTerm,
+    RationalABForm,
     SmirnovSymbol,
     StructureRefuted,
     apply_shift_reduction,
@@ -18,6 +19,7 @@ from hbortho import (
     gram,
     gram_matrix,
     orthopoly,
+    rational_ab_basis,
     sarason_symbol,
     structured_solve,
 )
@@ -248,6 +250,10 @@ class TestStructuredSolve:
         assert fast.coefficients[-1].real > 0
         assert system_residual(unit_pole(), fast.coefficients) < 1e-9
 
+    def test_negative_degree_rejected(self):
+        with pytest.raises(ValueError):
+            structured_solve(unit_pole(), -1)
+
     def test_rotated_pole_rejected(self):
         phi = SmirnovSymbol(0.0, (PoleTerm(-1.0, 1, 1.0),))
         with pytest.raises(ValueError):
@@ -294,13 +300,45 @@ class TestBandedSolve:
 
     @pytest.mark.parametrize("order, tol", [(1, 1e-13), (2, 1e-13), (3, 1e-11)])
     def test_accuracy_against_hp(self, order, tol):
+        # every n >= 0 is served, also below 4m + 2.  The error tracks
+        # eps * cond(K): the second order-2 draw has cond(K) ~ 1e4 and reaches
+        # 1.4e-13 at n = 9 (f64 Schur: 4.7e-16), so order 2 allows 1e-12 there
+        below = 1e-12 if order == 2 else tol
         rng = np.random.default_rng(60 + order)
         for _ in range(10):
             phi = random_at_one(rng, order)
             n = int(rng.integers(4 * order + 2, 49))
+            for size in [*range(4 * order + 2), n]:
+                fast = structured_solve(phi, size)
+                ref = orthopoly(phi, size, precision="hp")
+                bound = tol if size == n else below
+                assert rel_coeff_error(fast.coefficients, ref.coefficients) <= bound, size
+
+    def test_collapsed_order_two_family(self):
+        # A + B1/(1-z) + B2/(1-z)^2 with conj(A)(B1 + B2) = -(1 + |A|^2): the
+        # calibrated leading band diagonal 1 + conj(A)(A + B1 + B2) vanishes,
+        # which the banded factor of K never divides by
+        rng = np.random.default_rng(70)
+        for _ in range(20):
+            const = cmath.rect(rng.uniform(0.5, 2.0), rng.uniform(0.0, 2 * math.pi))
+            total = -(1.0 + abs(const) ** 2) / np.conj(const)
+            b2 = cmath.rect(rng.uniform(0.25, 2.0), rng.uniform(0.0, 2 * math.pi))
+            phi = SmirnovSymbol(const, (PoleTerm(1.0, 1, total - b2), PoleTerm(1.0, 2, b2)))
+            n = int(rng.integers(10, 49))
             fast = structured_solve(phi, n)
             ref = orthopoly(phi, n, precision="hp")
-            assert rel_coeff_error(fast.coefficients, ref.coefficients) <= tol, n
+            assert rel_coeff_error(fast.coefficients, ref.coefficients) <= 1e-13, n
+
+    def test_closed_form_family_through_banded_factor(self):
+        # conj(A) B = -(1 + |A|^2): the banded p_n is the shifted-monomial one
+        rng = np.random.default_rng(71)
+        for _ in range(20):
+            const = cmath.rect(10.0 ** rng.uniform(-2.0, 2.0), rng.uniform(0.0, 2 * math.pi))
+            form = RationalABForm(const, -(1.0 + abs(const) ** 2) / np.conj(const))
+            n = int(rng.integers(0, 601))
+            fast = structured_solve(form.symbol(), n)
+            ref = rational_ab_basis(form, n).polys[n]
+            assert rel_coeff_error(fast.coefficients, ref.coefficients) <= 1e-14, n
 
     def test_rational_form(self):
         # phi = beta / alpha: alpha phi agrees with beta, and vanishes past degree D
