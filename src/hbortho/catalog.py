@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter
+from scipy.linalg.lapack import ztbtrs
 
 from .symbol import PoleTerm, SmirnovSymbol, compose_monomial
 
@@ -41,10 +41,18 @@ class RationalFunction:
         return num / den
 
     def taylor(self, count: int) -> np.ndarray:
-        """Power-series coefficients of numer/denom: its impulse response."""
-        impulse = np.zeros(count, dtype=complex)
-        impulse[0] = 1.0
-        return lfilter(self.numer, self.denom, impulse)
+        """Power-series coefficients y_0 .. y_{count-1} of numer/denom.
+
+        T(denom) y = numer with T(.) the lower Toeplitz matrix of a sequence,
+        solved as one banded triangular system (LAPACK ztbtrs) in
+        O(count * deg denom).
+        """
+        if count < 1:
+            raise ValueError("count must be >= 1")
+        numer = np.zeros((count, 1), dtype=complex)
+        numer[: len(self.numer), 0] = self.numer[:count]
+        band = np.array(self.denom[:count])[:, None].repeat(count, axis=1)
+        return ztbtrs(band, numer, uplo="L")[0][:, 0]
 
 
 @dataclass(frozen=True)

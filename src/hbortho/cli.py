@@ -17,8 +17,8 @@ import numpy as np
 from . import closed_forms, recurrence, structure
 from . import oracle as oracle_mod
 from .catalog import catalog, validate_entry
-from .gram import gram_matrix
-from .symbol import SmirnovSymbol, SymbolError, format_symbol, parse_complex, parse_symbol
+from .gram import gram_matrix, hb_norm_squared, kernel_truncation_check
+from .symbol import PoleTerm, SmirnovSymbol, SymbolError, format_symbol, parse_complex, parse_symbol
 
 
 def _c(z) -> dict:
@@ -288,8 +288,6 @@ def _cmd_verify(args) -> int:
     run("structured-solve[m=1]", check_structured_m1)
 
     def check_structured_m2():
-        from .symbol import PoleTerm
-
         phi = SmirnovSymbol(1.0, (PoleTerm(1.0, 1, 1.0), PoleTerm(1.0, 2, 1.0)))
         fast = structure.structured_solve(phi, 20)
         ref = oracle_mod.orthopoly(phi, 20, precision="f64")
@@ -301,8 +299,6 @@ def _cmd_verify(args) -> int:
     run("structured-solve[m=2]", check_structured_m2)
 
     def check_kernel():
-        from .gram import kernel_truncation_check
-
         defect = kernel_truncation_check(entries[0], 0.0, np.array([1.0 + 0j]), 60)
         if defect > 1e-8:
             raise ArithmeticError(f"defect {defect:.3e}")
@@ -311,8 +307,6 @@ def _cmd_verify(args) -> int:
     run("kernel-truncation[sarason-half]", check_kernel)
 
     def check_fm():
-        from .gram import hb_norm_squared
-
         worst = 0.0
         for n in range(13):
             direct = closed_forms.fm_norm_b(n)

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import toeplitz
-from scipy.signal import fftconvolve
 
 from .catalog import CatalogEntry
 from .symbol import SmirnovSymbol, SymbolLike
@@ -54,13 +53,6 @@ class GramMatrix:
         by Hermitian symmetry) of ``entries``.
         """
         return np.conj(self.entries)
-
-    def quadratic_form(self, p: np.ndarray, q: np.ndarray | None = None) -> complex:
-        """<p, q> evaluated through the matrix; q defaults to p."""
-        if q is None:
-            q = p
-        pv, qv = (np.pad(np.asarray(v, dtype=complex), (0, self.size - len(v))) for v in (p, q))
-        return complex(pv @ (self.entries @ np.conj(qv)))
 
 
 def gram_matrix(phi: SymbolLike, n: int) -> GramMatrix:
@@ -185,7 +177,8 @@ def system_residual(phi: SymbolLike, c: np.ndarray) -> float:
     max|conj(M) c - e_n / Re c_n| / (max|conj(M) c| + 1): row k of conj(M) c
     is <p, z^k>, 0 below degree n and 1/c_n at n.  conj(M) = I + L L^H with
     L the lower Toeplitz matrix of phi, so this is two convolutions: direct
-    up to 512 coefficients, by FFT above, where the direct sums cost more.
+    up to 512 coefficients, by FFT (``numpy.fft``) above, where the direct
+    sums cost more.
     A BLAS matvec with M is not used: right after the factorization it took
     7 ms at n = 64 with two OpenBLAS threads (2-vCPU x86 VM), against 0.1 ms
     for the convolutions.
@@ -193,12 +186,20 @@ def system_residual(phi: SymbolLike, c: np.ndarray) -> float:
     c = np.asarray(c, dtype=complex)
     n1 = len(c)
     coeffs = phi.taylor(n1)
-    convolve = fftconvolve if n1 > 512 else np.convolve
+    convolve = _fft_convolve if n1 > 512 else np.convolve
     lh_c = convolve(c[::-1], np.conj(coeffs))[:n1][::-1]
     mc = c + convolve(coeffs, lh_c)[:n1]
     target = np.zeros(n1, dtype=complex)
     target[-1] = 1.0 / c[-1].real
     return float(np.max(np.abs(mc - target)) / (np.max(np.abs(mc)) + 1.0))
+
+
+def _fft_convolve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Full linear convolution of two complex sequences through ``numpy.fft``,
+    padded to a power of two."""
+    size = len(x) + len(y) - 1
+    nfft = 1 << (size - 1).bit_length()
+    return np.fft.ifft(np.fft.fft(x, nfft) * np.fft.fft(y, nfft))[:size]
 
 
 def hb_norm_squared(phi: SymbolLike, p: np.ndarray) -> float:

@@ -34,11 +34,27 @@ def test_rational_function_taylor():
 
 
 def test_taylor_matches_long_division():
-    # the catalog's blaschke-c: b and a share the denominator 1 - z/2
+    # the catalog's blaschke-c: b and a share the denominator 1 - z/2;
+    # the last one has the degree-2 denominator (1 - 0.5z)(1 + 0.3iz)
     entry = blaschke_entry(0.5)
-    for f in (entry.b, entry.a):
+    quad = RationalFunction((0.3, 1j, -0.2), tuple(np.convolve([1.0, -0.5], [1.0, 0.3j])))
+    for f in (entry.b, entry.a, quad):
         ref = long_division_taylor(f, 60)
         assert np.max(np.abs(f.taylor(60) - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_taylor_shorter_than_numerator(count):
+    # power-3's b = (1 + z^3)/2 has four numerator terms
+    f = power_entry(3).b
+    ref = long_division_taylor(f, count)
+    assert len(f.taylor(count)) == count
+    assert np.max(np.abs(f.taylor(count) - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+def test_taylor_rejects_empty_count():
+    with pytest.raises(ValueError, match="count must be >= 1"):
+        RationalFunction((1.0,), (1.0, -0.5)).taylor(0)
 
 
 def test_rational_function_eval():

@@ -13,16 +13,26 @@ from hbortho import (
     RationalFunction,
     SmirnovSymbol,
     TaylorStream,
+    blaschke_entry,
     gram_matrix,
     hb_norm_squared,
     kernel_truncation_check,
     monomial_inner,
     poly_inner,
     sarason_symbol,
+    structured_solve,
     toeplitz_conj_apply,
 )
 from hbortho.backends import F64_EPS, cond_bound
-from hbortho.gram import gram_entries, schur_factor
+from hbortho.gram import _fft_convolve, gram_entries, schur_factor, system_residual
+
+
+def quadratic_form(gm, p, q=None):
+    """<p, q> evaluated through the Gram matrix; q defaults to p."""
+    if q is None:
+        q = p
+    pv, qv = (np.pad(np.asarray(v, dtype=complex), (0, gm.size - len(v))) for v in (p, q))
+    return complex(pv @ (gm.entries @ np.conj(qv)))
 
 
 def brute_inner(phi, j, k):
@@ -115,7 +125,7 @@ class TestGramMatrix:
                 deg = int(rng.integers(0, 33))
                 p = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
                 direct = hb_norm_squared(entry.phi, p)
-                form = gm.quadratic_form(p).real
+                form = quadratic_form(gm, p).real
                 assert abs(direct - form) <= 1e-10 * (1 + abs(direct))
 
 
@@ -226,7 +236,7 @@ class TestNormFormula:
         for _ in range(20):
             p = rng.normal(size=7) + 1j * rng.normal(size=7)
             q = rng.normal(size=13) + 1j * rng.normal(size=13)
-            assert abs(poly_inner(phi, p, q) - gm.quadratic_form(p, q)) < 1e-10
+            assert abs(poly_inner(phi, p, q) - quadratic_form(gm, p, q)) < 1e-10
 
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
@@ -286,3 +296,36 @@ class TestMonomialStreamEdge:
         for j in range(5):
             for k in range(j + 1, 6):
                 assert abs(monomial_inner(stream, j, k)) < 1e-15
+
+
+def direct_residual(phi, c):
+    """``system_residual`` with both convolutions summed directly."""
+    n1 = len(c)
+    coeffs = phi.taylor(n1)
+    lh_c = np.convolve(c[::-1], np.conj(coeffs))[:n1][::-1]
+    mc = c + np.convolve(coeffs, lh_c)[:n1]
+    target = np.zeros(n1, dtype=complex)
+    target[-1] = 1.0 / c[-1].real
+    return float(np.max(np.abs(mc - target)) / (np.max(np.abs(mc)) + 1.0))
+
+
+class TestFftConvolve:
+    @pytest.mark.parametrize("n", [513, 777, 1024, 2049, 4097])
+    @pytest.mark.parametrize("m", [1, 300, None])  # None: equal lengths
+    def test_matches_direct(self, n, m):
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=n) + 1j * rng.normal(size=n)
+        y = rng.normal(size=m or n) + 1j * rng.normal(size=m or n)
+        ref = np.convolve(x, y)
+        for out in (_fft_convolve(x, y), _fft_convolve(y, x)):
+            assert out.shape == ref.shape
+            assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_system_residual_above_512(self):
+        phi = blaschke_entry(0.5).phi
+        rng = np.random.default_rng(3)
+        noise = rng.normal(size=1025) + 1j * rng.normal(size=1025)
+        assert abs(system_residual(phi, noise) - direct_residual(phi, noise)) <= 1e-15
+        # at p_n both read rounding noise, which depends on the summation order
+        c = structured_solve(phi, 1024).coefficients
+        assert max(system_residual(phi, c), direct_residual(phi, c)) <= 1e-13
