@@ -9,6 +9,7 @@ JSON is the canonical output format (complex numbers as {"re": ..., "im":
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -27,12 +28,7 @@ def _c(z) -> dict:
 
 
 def _dump(obj, path: str | None) -> None:
-    text = json.dumps(obj, indent=2)
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write_text(json.dumps(obj, indent=2) + "\n", path)
 
 
 def _write_text(text: str, path: str | None) -> None:
@@ -43,25 +39,49 @@ def _write_text(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
+#: ``json.dumps(payload, indent=2)`` of one basis polynomial and of one
+#: coefficient, for the payload ``_cmd_basis`` writes
+_POLY_JSON = '  {\n    "degree": %d,\n    "coefficients": [\n%s\n    ],\n    "residual": %s\n  }'
+_COEFF_JSON = '      {\n        "re": %s,\n        "im": %s\n      }'
+
+
+def _re_im(basis) -> np.ndarray:
+    """re, im of every coefficient of p_0, p_1, ..., p_n, interleaved."""
+    return np.concatenate([p.coefficients for p in basis.polys]).view(np.float64)
+
+
+def _basis_json(basis) -> str:
+    """``json.dumps(payload, indent=2)`` of the basis payload, written from
+    templates: the pure-Python encoder that ``indent`` selects cost 3-7 times
+    the f64 solve at n = 28 and 15-23 times at n = 128."""
+    values = _re_im(basis)
+    # json writes the non-finite floats as NaN, Infinity and -Infinity
+    texts = list(map(float.__repr__ if np.isfinite(values).all() else json.dumps, values.tolist()))
+    residual = json.dumps(basis.residual)
+    polys = []
+    start = 0
+    for p in basis.polys:
+        count = len(p.coefficients)
+        coeffs = ",\n".join([_COEFF_JSON] * count) % tuple(texts[start : start + 2 * count])
+        polys.append(_POLY_JSON % (p.degree, coeffs, residual))
+        start += 2 * count
+    return "[\n" + ",\n".join(polys) + "\n]\n"
+
+
+def _basis_csv(basis) -> str:
+    floats = iter(_re_im(basis).tolist())
+    lines = ["degree,power,re,im"]
+    for p in basis.polys:
+        for k in range(len(p.coefficients)):
+            lines.append(f"{p.degree},{k},{next(floats)!r},{next(floats)!r}")
+    return "\n".join(lines) + "\n"
+
+
 def _cmd_basis(args) -> int:
     phi = parse_symbol(args.symbol)
     basis = oracle_mod.orthobasis(phi, args.n, precision=args.precision)
-    if args.out == "json":
-        payload = [
-            {
-                "degree": p.degree,
-                "coefficients": [_c(z) for z in p.coefficients],
-                "residual": basis.residual,
-            }
-            for p in basis.polys
-        ]
-        _dump(payload, args.output)
-    else:
-        lines = ["degree,power,re,im"]
-        for p in basis.polys:
-            for k, z in enumerate(p.coefficients):
-                lines.append(f"{p.degree},{k},{z.real!r},{z.imag!r}")
-        _write_text("\n".join(lines) + "\n", args.output)
+    write = _basis_json if args.out == "json" else _basis_csv
+    _write_text(write(basis), args.output)
     return 0
 
 
@@ -75,13 +95,8 @@ def _cmd_gram(args) -> int:
         }
         _dump(payload, args.output)
     else:
-        lines = []
-        for row in gm.entries:
-            cells = []
-            for z in row:
-                cells.append(repr(z.real))
-                cells.append(repr(z.imag))
-            lines.append(",".join(cells))
+        # each row as re,im pairs
+        lines = [",".join(map(repr, row)) for row in gm.entries.view(np.float64).tolist()]
         _write_text("\n".join(lines) + "\n", args.output)
     return 0
 
@@ -335,7 +350,12 @@ def _basis_diff(a, b) -> float:
     return worst
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process (about 1.4 ms a build).
+
+    Nothing may mutate it: ``parse_args`` returns a fresh ``Namespace`` each
+    call, so requests share no state through it."""
     parser = argparse.ArgumentParser(
         prog="hbortho",
         description="Orthonormal polynomial bases of H(b) spaces with rational symbols",

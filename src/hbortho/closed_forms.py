@@ -22,8 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gram as gram_mod
+from .catalog import power_symbol
 from .oracle import OrthoBasis, OrthoPoly
-from .symbol import PoleTerm, SmirnovSymbol, SymbolLike
+from .symbol import CompositionOrderError, PoleTerm, SmirnovSymbol, SymbolLike, compose_monomial
 
 #: tolerance scale for the algebraic relation conj(A) B = -(1+|A|^2)
 RELATION_TOL = 1e-12
@@ -96,8 +97,6 @@ def power_basis(N: int, n: int) -> OrthoBasis:
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    from .catalog import power_symbol  # local import to avoid a cycle
-
     polys = []
     for d in range(n + 1):
         coeffs = np.zeros(d + 1, dtype=complex)
@@ -129,8 +128,6 @@ def compose_basis(base: OrthoBasis, N: int) -> OrthoBasis:
             polys.append((deg, OrthoPoly(deg, coeffs)))
     polys.sort(key=lambda item: item[0])
     if isinstance(base.symbol, SmirnovSymbol):
-        from .symbol import CompositionOrderError, compose_monomial
-
         try:
             new_symbol: SymbolLike = compose_monomial(base.symbol, N)
         except CompositionOrderError:

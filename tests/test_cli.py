@@ -5,7 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hbortho.cli import main
+from hbortho import OrthoBasis, OrthoPoly, orthobasis, parse_symbol
+from hbortho.cli import _basis_json, build_parser, main
 
 
 def run_cli(capsys, argv):
@@ -69,6 +70,92 @@ class TestBasisCommand:
             ca = np.array([c["re"] + 1j * c["im"] for c in pa["coefficients"]])
             ch = np.array([c["re"] + 1j * c["im"] for c in ph["coefficients"]])
             assert np.max(np.abs(ca - ch)) <= 1e-10 * np.max(np.abs(ch))
+
+
+def dict_payload(basis):
+    """The payload the basis writer replaces, for ``json.dumps(..., indent=2)``."""
+    return [
+        {
+            "degree": p.degree,
+            "coefficients": [{"re": complex(z).real, "im": complex(z).imag} for z in p.coefficients],
+            "residual": basis.residual,
+        }
+        for p in basis.polys
+    ]
+
+
+def bits(values):
+    return np.array(values, dtype=np.float64).view(np.uint64)
+
+
+class TestBasisWriter:
+    @pytest.mark.parametrize("precision", [None, "f64"])
+    def test_matches_json_dumps(self, precision):
+        phi = parse_symbol("0;(1,1,1);(0.5,-1,1)")
+        for n in (0, 16, 28, 39, 64, 128):
+            basis = orthobasis(phi, n, precision=precision)
+            assert _basis_json(basis) == json.dumps(dict_payload(basis), indent=2) + "\n"
+
+    def test_readme_example(self, capsys):
+        _, out, _ = run_cli(capsys, ["basis", "--symbol=-1;(2,1,1)", "--n", "8"])
+        basis = orthobasis(parse_symbol("-1;(2,1,1)"), 8)
+        assert out == json.dumps(dict_payload(basis), indent=2) + "\n"
+
+    def test_special_floats(self):
+        nan, inf = float("nan"), float("inf")
+        polys = (
+            OrthoPoly(0, np.array([complex(nan, inf)])),
+            OrthoPoly(1, np.array([complex(-inf, -0.0), complex(5e-324, 1e308)])),
+            OrthoPoly(2, np.array([complex(-0.0, nan), 0.1 + 0.2j, complex(1e308, -5e-324)])),
+        )
+        basis = OrthoBasis(polys, parse_symbol("0;(1,1,1)"), "f64", nan)
+        text = _basis_json(basis)
+        assert text == json.dumps(dict_payload(basis), indent=2) + "\n"
+        assert "NaN" in text and "-Infinity" in text and "-0.0" in text and "5e-324" in text
+
+
+class TestCsvCells:
+    """Every CSV cell is a float repr equal, bit for bit, to the JSON value."""
+
+    def test_basis(self, capsys):
+        argv = ["basis", "--symbol", "0;(1,1,1);(0.5,-1,1)", "--n", "12"]
+        _, out_json, _ = run_cli(capsys, argv)
+        _, out_csv, _ = run_cli(capsys, argv + ["--out", "csv"])
+        rows = [line.split(",") for line in out_csv.splitlines()[1:]]
+        expected = [
+            (p["degree"], k, z["re"], z["im"])
+            for p in json.loads(out_json)
+            for k, z in enumerate(p["coefficients"])
+        ]
+        assert [(int(d), int(k)) for d, k, _, _ in rows] == [(d, k) for d, k, _, _ in expected]
+        assert np.array_equal(
+            bits([float(c) for row in rows for c in row[2:]]),
+            bits([v for _, _, re, im in expected for v in (re, im)]),
+        )
+
+    def test_gram(self, capsys):
+        argv = ["gram", "--symbol", "0;(1,1,1)", "--n", "6"]
+        _, out_json, _ = run_cli(capsys, argv)
+        _, out_csv, _ = run_cli(capsys, argv + ["--out", "csv"])
+        cells = [float(c) for line in out_csv.splitlines() for c in line.split(",")]
+        entries = json.loads(out_json)["entries"]
+        expected = [v for row in entries for z in row for v in (z["re"], z["im"])]
+        assert np.array_equal(bits(cells), bits(expected))
+
+
+class TestParserCache:
+    def test_one_parser(self):
+        assert build_parser() is build_parser()
+
+    def test_back_to_back_calls(self, capsys):
+        argv = ["basis", "--symbol", "0;(1,1,1)", "--n", "6"]
+        _, first, _ = run_cli(capsys, argv)
+        _, csv, _ = run_cli(capsys, argv + ["--out", "csv", "--precision", "hp"])
+        _, again, _ = run_cli(capsys, argv)
+        _, f64, _ = run_cli(capsys, argv + ["--precision", "f64"])
+        assert csv.startswith("degree,power,re,im\n")
+        assert again == first == f64
+        assert build_parser().parse_args(argv).precision is None
 
 
 class TestGramCommand:

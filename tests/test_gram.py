@@ -24,7 +24,14 @@ from hbortho import (
     toeplitz_conj_apply,
 )
 from hbortho.backends import F64_EPS, cond_bound
-from hbortho.gram import _fft_convolve, gram_entries, schur_factor, system_residual
+from hbortho.gram import (
+    FFT_MIN_LENGTH,
+    _fft_convolve,
+    _fft_length,
+    gram_entries,
+    schur_factor,
+    system_residual,
+)
 
 
 def quadratic_form(gm, p, q=None):
@@ -310,7 +317,8 @@ def direct_residual(phi, c):
 
 
 class TestFftConvolve:
-    @pytest.mark.parametrize("n", [513, 777, 1024, 2049, 4097])
+    # equal lengths 353 and 2049 pad to 3·2^j, 385 and 1024 to 2^k
+    @pytest.mark.parametrize("n", [353, 385, 513, 777, 1024, 2049, 4097])
     @pytest.mark.parametrize("m", [1, 300, None])  # None: equal lengths
     def test_matches_direct(self, n, m):
         rng = np.random.default_rng(n)
@@ -320,6 +328,16 @@ class TestFftConvolve:
         for out in (_fft_convolve(x, y), _fft_convolve(y, x)):
             assert out.shape == ref.shape
             assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_padding(self):
+        sizes = [1, 2, 3, 4, 5, 7, 9, 13, 705, 769, 1025, 1553, 4097, 6145, 8193]
+        padded = [1, 2, 3, 4, 6, 8, 12, 16, 768, 1024, 1536, 2048, 6144, 8192, 12288]
+        assert [_fft_length(size) for size in sizes] == padded
+
+    def test_system_residual_at_crossover(self):
+        phi = blaschke_entry(0.5).phi
+        noise = np.random.default_rng(5).normal(size=(FFT_MIN_LENGTH, 2)) @ [1, 1j]
+        assert abs(system_residual(phi, noise) - direct_residual(phi, noise)) <= 1e-15
 
     def test_system_residual_above_512(self):
         phi = blaschke_entry(0.5).phi
