@@ -13,10 +13,12 @@ symbol Toeplitz action.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import toeplitz
+from scipy.linalg.blas import zaxpy, zscal
 
 from .catalog import CatalogEntry
 from .symbol import SmirnovSymbol, SymbolLike
@@ -87,46 +89,72 @@ def gram_entries(coeffs: np.ndarray) -> np.ndarray:
 
 
 def schur_factor(coeffs: np.ndarray, pivot_floor: float = 0.0) -> np.ndarray:
-    """Lower Cholesky factor C of the Gram matrix M = C C^H of z^0 .. z^n, in O(n^2).
+    """Lower Cholesky factor C of the Gram matrix M = C C^H of z^0 .. z^n, in O(n^2),
+    packed: column k of C from its diagonal down, for k = 0 .. n, in one array of
+    length (n+1)(n+2)/2 (LAPACK's lower packed layout; ``unpack_lower`` gives C).
 
     M = I + G G^H with G the lower Toeplitz matrix of g = conj(phi_0 .. phi_n),
     which commutes with the down-shift Z, so M - Z M Z^H = e_0 e_0^H + g g^H.
     The generalized Schur algorithm (Kailath & Sayed, SIAM Review 37, 1995)
     rotates the generator [u, v] so that v vanishes in row k; the rotated u is
     column k of C, and Z times it is the next u.  The element type of
-    ``coeffs`` is the arithmetic: complex128, or an object array of
-    ``mpmath.mpc`` (call inside workprec).  Raises ``numpy.linalg.LinAlgError``
-    on a coefficient or pivot that is not finite, a zero pivot, or a pivot
-    C[k,k]^2 below ``pivot_floor`` times the largest one.
+    ``coeffs`` is the arithmetic: complex128, rotated by BLAS, or an object
+    array of ``mpmath.mpc`` (call inside workprec).  Raises
+    ``numpy.linalg.LinAlgError`` on a coefficient or pivot that is not finite,
+    a zero pivot, or a pivot C[k,k]^2 below ``pivot_floor`` times the largest one.
     """
     n1 = len(coeffs)
     if not np.abs(coeffs).max() < np.inf:
         raise np.linalg.LinAlgError("Taylor coefficients are not finite")
-    rows = np.zeros((n1, n1), dtype=coeffs.dtype)  # row k is column k of C
-    u = np.zeros(n1, dtype=coeffs.dtype)
-    u[0] = 1
+    buf = np.empty(n1 + n1 * (n1 + 1) // 2, dtype=coeffs.dtype)
+    buf.fill(0)  # touch every page here: lazily zeroed pages fault inside the loop
+    buf[0] = 1  # the first u, e_0, ahead of the factor; each later u is in the last column
+    rotate = _rotate_blas if buf.dtype == np.complex128 else _rotate_numpy
     v = np.conj(coeffs)
     pivots = []
+    u_at, col_at = 0, n1
     for k in range(n1):
-        w = v[k:]
-        a, b = u.item(0), w.item(0)  # python complex in f64, so scalar work is cheap
+        m = n1 - k
+        a, b = buf.item(u_at), v.item(k)  # python complex in f64, so scalar work is cheap
         abs_a, abs_b = abs(a), abs(b)
         scale = abs_a + abs_b
         if not 0 < scale < np.inf:
             raise np.linalg.LinAlgError(f"pivot {k} of the Schur factorization is {scale}")
         pivot = scale * ((abs_a / scale) ** 2 + (abs_b / scale) ** 2) ** 0.5
-        c, s = a / pivot, b / pivot
-        col = rows[k, k:]
-        np.multiply(c.conjugate(), u, out=col)
-        col += s.conjugate() * w
-        col[0] = pivot
-        w *= c
-        w -= s * u
-        u = col[:-1]
+        rotate(a / pivot, b / pivot, buf, u_at, col_at, v, k, m)
+        buf[col_at] = pivot
+        u_at, col_at = col_at, col_at + m
         pivots.append(pivot)
     if (min(pivots) / max(pivots)) ** 2 < pivot_floor:
         raise np.linalg.LinAlgError("pivot collapse in the Schur factorization")
-    return rows.T
+    return buf[n1:]
+
+
+def _rotate_blas(c, s, buf, u_at, col_at, v, k, m) -> None:
+    """col = conj(c) u + conj(s) w on the zeroed col, then w = c w - s u, in place:
+    u and col are the m entries of ``buf`` from u_at and col_at, w those of v from
+    k.  Three zaxpy and one zscal on complex128, addressed by offsets (no views)."""
+    zaxpy(v, buf, m, s.conjugate(), k, 1, col_at, 1)
+    zaxpy(buf, buf, m, c.conjugate(), u_at, 1, col_at, 1)
+    zscal(c, v, m, k)
+    zaxpy(buf, v, m, -s, u_at, 1, k, 1)
+
+
+def _rotate_numpy(c, s, buf, u_at, col_at, v, k, m) -> None:
+    """``_rotate_blas`` in numpy expressions, for object arrays of mpc."""
+    u, col, w = buf[u_at : u_at + m], buf[col_at : col_at + m], v[k:]
+    np.multiply(c.conjugate(), u, out=col)
+    col += s.conjugate() * w
+    w *= c
+    w -= s * u
+
+
+def unpack_lower(packed: np.ndarray) -> np.ndarray:
+    """The square lower triangular C of a factor packed as ``schur_factor`` returns it."""
+    n1 = (math.isqrt(8 * len(packed) + 1) - 1) // 2
+    upper = np.zeros((n1, n1), dtype=packed.dtype)  # row k is column k of C
+    upper[np.triu_indices(n1)] = packed
+    return upper.T
 
 
 def rational_form(phi: SmirnovSymbol) -> tuple[np.ndarray, np.ndarray]:

@@ -9,13 +9,16 @@ factorization instead of sequential projections, which lose orthogonality
 catastrophically at these condition numbers).
 
 Every request factors M once, with ``gram.schur_factor``: O(n^2) work from
-the Taylor coefficients, without forming M.  A single p_n is one triangular
-solve with C^T, a whole basis is the triangular inverse, taken as C^{-T} so
-that each p_k is the same solve.  The residual max |Q M Q^H - I| is never
-computed from C: f64 takes it from M = I + G G^H, hp from the Gram entries.
+the Taylor coefficients, without forming M; C comes back packed (half the
+square).  A single p_n is one triangular solve with C^T, done by BLAS
+``ztpsv`` on the packed factor; a whole basis is the triangular inverse of
+the unpacked C, taken as C^{-T} so that each p_k is the same solve.  The
+residual max |Q M Q^H - I| is never computed from C: f64 takes it from
+M = I + G G^H, hp from the Gram entries.
 
-The "hp" routes run the same factorization on mpmath numbers; the back
-substitution and the basis residual are mpmath ``fdot`` loops.
+The "hp" routes run the same factorization on mpmath numbers (numpy
+expressions where f64 calls BLAS) and unpack C; the back substitution and the
+basis residual are mpmath ``fdot`` loops.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.blas import ztpsv
 
 from . import gram as gram_mod
 from .backends import AUTO_F64_TOL, auto_precision, cond_bound, requested_precision, workprec
@@ -78,28 +82,28 @@ def orthopoly(phi: SymbolLike, n: int, precision: str | None = None) -> OrthoPol
 def _solve(phi: SymbolLike, n: int, precision: str | None, f64_route, hp_route):
     """Run one request on the backend that ``precision`` selects.
 
-    A requested backend runs as asked, except that an f64 breakdown falls
-    back to hp when the request came from ``HB_PRECISION``.  An automatic
-    request runs in f64 when ``cond_bound`` allows it and keeps the result
-    only if its residual (a basis's own, else ``gram.system_residual``) is at
-    most ``AUTO_F64_TOL``; otherwise it runs in hp.  A raw stream, which the
-    hp path cannot serve, always tries f64 and raises ``NumericalBreakdown``
-    if the result fails.
+    A requested backend runs as asked, except that an f64 breakdown on a
+    ``SmirnovSymbol`` falls back to hp when the request came from
+    ``HB_PRECISION``.  An automatic request runs in f64 when ``cond_bound``
+    allows it and keeps the result only if its residual (a basis's own, else
+    ``gram.system_residual``) is at most ``AUTO_F64_TOL``; otherwise it runs
+    in hp.  A raw stream, which the hp path cannot serve, always tries f64
+    and raises ``NumericalBreakdown`` if the result fails.
     """
     if n < 0:
         raise ValueError("degree must be >= 0")
     tag = requested_precision(precision)
     if tag == "hp":
         return hp_route(phi, n)
+    escalates = isinstance(phi, SmirnovSymbol)
     if tag == "f64":
         try:
             return f64_route(phi, n)
         except NumericalBreakdown:
-            if precision is not None:
+            if precision is not None or not escalates:
                 raise
             return hp_route(phi, n)
     bound = cond_bound(phi, n)
-    escalates = isinstance(phi, SmirnovSymbol)
     if escalates and auto_precision(bound) == "hp":
         return hp_route(phi, n)
     try:
@@ -129,16 +133,17 @@ def _factor(coeffs: np.ndarray, pivot_floor: float = 0.0) -> np.ndarray:
 
 
 def _orthopoly_f64(phi: SymbolLike, n: int) -> OrthoPoly:
-    lower = _factor(np.asarray(phi.taylor(n + 1), dtype=complex), PIVOT_BREAKDOWN_RATIO)
-    e_n = np.zeros(n + 1)
+    packed = _factor(np.asarray(phi.taylor(n + 1), dtype=complex), PIVOT_BREAKDOWN_RATIO)
+    e_n = np.zeros(n + 1, dtype=complex)
     e_n[n] = 1.0
-    # row n of C^{-1}, i.e. the solution of C^T x = e_n
-    return OrthoPoly(n, solve_triangular(lower, e_n, lower=True, trans="T", check_finite=False))
+    # row n of C^{-1}, i.e. the solution of C^T x = e_n, on the packed factor
+    return OrthoPoly(n, ztpsv(n + 1, packed, e_n, lower=1, trans=1, overwrite_x=1))
 
 
 def _orthopoly_hp(phi: SymbolLike, n: int) -> OrthoPoly:
     with workprec():
-        return _inverse_row_mp(_factor(_taylor_mp(phi, n)).T.tolist(), n)
+        packed = _factor(_taylor_mp(phi, n))
+        return _inverse_row_mp(gram_mod.unpack_lower(packed).T.tolist(), n)
 
 
 def _taylor_mp(phi: SymbolLike, n: int) -> np.ndarray:
@@ -169,7 +174,7 @@ def orthobasis(phi: SymbolLike, n: int, precision: str | None = None) -> OrthoBa
 
 def _orthobasis_f64(phi: SymbolLike, n: int) -> OrthoBasis:
     coeffs = np.asarray(phi.taylor(n + 1), dtype=complex)
-    lower = _factor(coeffs, PIVOT_BREAKDOWN_RATIO)
+    lower = gram_mod.unpack_lower(_factor(coeffs, PIVOT_BREAKDOWN_RATIO))
     # rows of C^{-1} as the solutions of C^T x = e_k, like orthopoly: these keep
     # the per-degree accuracy that forward substitution on the columns loses
     q = solve_triangular(lower, np.eye(n + 1), lower=True, trans="T", check_finite=False).T
@@ -180,7 +185,7 @@ def _orthobasis_f64(phi: SymbolLike, n: int) -> OrthoBasis:
 def _orthobasis_hp(phi: SymbolLike, n: int) -> OrthoBasis:
     with workprec():
         coeffs = _taylor_mp(phi, n)
-        upper = _factor(coeffs).T.tolist()
+        upper = gram_mod.unpack_lower(_factor(coeffs)).T.tolist()
         polys = tuple(_inverse_row_mp(upper, k) for k in range(n + 1))
         rows = [p.hp_coefficients for p in polys]
         residual = float(_residual_hp(gram_mod.gram_entries(coeffs).tolist(), rows))

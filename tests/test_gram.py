@@ -31,6 +31,7 @@ from hbortho.gram import (
     gram_entries,
     schur_factor,
     system_residual,
+    unpack_lower,
 )
 
 
@@ -155,22 +156,39 @@ class TestSchurFactor:
         symbols = [e.phi for e in entries] + [random_pole_symbol(rng) for _ in range(60)]
         for phi in symbols:
             ref = np.linalg.cholesky(gram_matrix(phi, n).entries)
-            got = schur_factor(phi.taylor(n + 1))
+            got = unpack_lower(schur_factor(phi.taylor(n + 1)))
             assert np.all(np.diag(got).imag == 0) and np.all(np.diag(got).real > 0)
             err = np.max(np.abs(got - ref))
             assert err <= F64_EPS * cond_bound(phi, n) * np.max(np.abs(ref)), phi
+
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    def test_blas_rotations_match_numpy(self, entries, n):
+        # complex128 input takes the BLAS rotations, an object array of complex
+        # the numpy ones; a BLAS call that wrote into a copy would leave C empty
+        rng = np.random.default_rng(n)
+        symbols = [e.phi for e in entries] + [TWO_POLES]
+        symbols += [random_pole_symbol(rng) for _ in range(3)]
+        for phi in symbols:
+            coeffs = phi.taylor(n + 1)
+            ref = schur_factor(np.array(coeffs.tolist(), dtype=object)).astype(complex)
+            got = schur_factor(coeffs)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), phi
+
+    def test_unpack_lower(self):
+        expected = [[1, 0, 0, 0], [2, 5, 0, 0], [3, 6, 8, 0], [4, 7, 9, 10]]
+        assert np.array_equal(unpack_lower(np.arange(1, 11, dtype=complex)), expected)
 
     def test_hp_reproduces_gram_entries(self, entries):
         with mpmath.workprec(160):
             for phi in [e.phi for e in entries] + [TWO_POLES]:
                 coeffs = np.array(phi.taylor_mp(25), dtype=object)
-                lower = schur_factor(coeffs)
+                lower = unpack_lower(schur_factor(coeffs))
                 diff = lower @ np.conj(lower.T) - gram_entries(coeffs)
                 assert max(abs(x) for x in diff.ravel()) < mpmath.mpf("1e-40"), phi
 
     def test_pivot_floor(self):
         coeffs = TWO_POLES.taylor(65)
-        pivots = np.diag(schur_factor(coeffs)).real ** 2
+        pivots = np.diag(unpack_lower(schur_factor(coeffs))).real ** 2
         ratio = pivots.min() / pivots.max()
         schur_factor(coeffs, 0.5 * ratio)
         with pytest.raises(np.linalg.LinAlgError, match="pivot collapse"):
@@ -186,7 +204,7 @@ class TestSchurFactor:
         # their sum is past the float range; the finiteness check must not overflow
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            lower = schur_factor(np.full(41, 1e308 + 0j))
+            lower = unpack_lower(schur_factor(np.full(41, 1e308 + 0j)))
         assert np.isfinite(lower).all()
 
 

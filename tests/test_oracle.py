@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from conftest import TWO_POLES, max_basis_diff
 from hbortho import (
@@ -258,6 +260,30 @@ class TestOneFactor:
                     assert diff < mpmath.mpf("1e-30")
 
 
+class TestPackedSolve:
+    def test_matches_unpacked_solve(self, entries):
+        for phi in [e.phi for e in entries] + [TWO_POLES]:
+            for n in (8, 64, 128):
+                lower = gram_mod.unpack_lower(gram_mod.schur_factor(phi.taylor(n + 1)))
+                e_n = np.zeros(n + 1)
+                e_n[n] = 1.0
+                ref = solve_triangular(lower, e_n, lower=True, trans="T")
+                got = orthopoly(phi, n, precision="f64").coefficients
+                assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), (phi, n)
+
+    def test_memory_peak(self):
+        # the packed factor is half of an (n+1)^2 complex matrix, and the solve adds O(n)
+        n = 1024
+        orthopoly(blaschke_symbol(0.5), n, precision="f64")
+        tracemalloc.start()
+        try:
+            orthopoly(blaschke_symbol(0.5), n, precision="f64")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.55 * (n + 1) ** 2 * 16
+
+
 class TestPrecisionPolicy:
     def test_auto_switches_by_conditioning(self):
         phi = sarason_symbol()  # catalog m = 1: cond_bound(phi, 64) = 1 + 129^2
@@ -354,6 +380,13 @@ class TestAutomaticVerification:
         solve = self.spoil(monkeypatch, entry_point)
         with pytest.raises(NumericalBreakdown, match=r"residual .* exceeds 1e-08 \(cond_bound"):
             solve(sarason_symbol().stream(), 12)
+
+    def test_env_f64_breakdown_on_stream_raises(self, monkeypatch, entry_point):
+        # HB_PRECISION=f64 falls back to hp on a breakdown, which a stream cannot take
+        stream = TaylorStream(lambda k: math.nan if k == 5 else 1.0, label="nan")
+        monkeypatch.setenv("HB_PRECISION", "f64")
+        with pytest.raises(NumericalBreakdown, match="not finite"):
+            ENTRY_POINTS[entry_point](stream, 40)
 
     def test_breakdown_on_stream_raises(self, entry_point):
         stream = TaylorStream(lambda n: 10.0 ** (2 * n), label="blowup")
