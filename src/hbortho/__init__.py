@@ -9,7 +9,6 @@ simple pole, and a structured solver that exploits the banded-plus-low-rank
 shape of the row-reduced Gram systems.
 """
 
-from .backends import resolve_precision
 from .catalog import (
     CatalogEntry,
     RationalFunction,
@@ -34,6 +33,7 @@ from .closed_forms import (
     monomial_orthogonality_witness,
     power_basis,
     rational_ab_basis,
+    rational_ab_poly,
 )
 from .gram import (
     GramMatrix,
@@ -133,9 +133,9 @@ __all__ = [
     "power_entry",
     "power_symbol",
     "rational_ab_basis",
+    "rational_ab_poly",
     "recurrence_residual",
     "reduced_matrix_check",
-    "resolve_precision",
     "rotate_basis",
     "rotate_symbol",
     "sarason_symbol",

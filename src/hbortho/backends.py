@@ -23,7 +23,6 @@ tolerance and recomputes it in hp if the check fails.
 
 from __future__ import annotations
 
-import math
 import os
 
 import mpmath
@@ -60,11 +59,6 @@ def requested_precision(tag: str | None) -> str | None:
 def auto_precision(cond: float) -> str:
     """Backend of an automatic request whose Gram matrix has cond(M) <= cond."""
     return "f64" if F64_EPS * cond <= AUTO_F64_TOL else "hp"
-
-
-def resolve_precision(tag: str | None, cond: float = math.inf) -> str:
-    """Concrete backend for ``tag``; automatic for cond(M) <= ``cond`` (unknown: "hp")."""
-    return requested_precision(tag) or auto_precision(cond)
 
 
 def workprec():

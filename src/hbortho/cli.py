@@ -116,24 +116,17 @@ def _cmd_recurrence(args) -> int:
     try:
         poly = recurrence.coefficients_via_recurrence(data, args.n, precision=args.precision)
         report["coefficients"] = [_c(z) for z in poly.coefficients]
-        report["recurrence_residual"] = recurrence.recurrence_residual(
-            data, poly.coefficients
-        )
+        report["recurrence_residual"] = recurrence.recurrence_residual(data, poly.coefficients)
     except recurrence.CaseBoundary as exc:
         report["error"] = str(exc)
         status = 1
     if args.verify and status == 0:
         phi = closed_forms.RationalABForm(A, B).symbol()
         reference = oracle_mod.orthopoly(phi, args.n, precision="f64")
-        diff = float(np.max(np.abs(reference.coefficients - poly.coefficients)))
-        replay_ok = (
-            recurrence.reduced_matrix_check(A, B, args.n) if args.n >= 4 else True
-        )
-        report["verify"] = {
-            "oracle_max_diff": diff,
-            "reduction_replay": replay_ok,
-        }
-        if diff > 1e-9 or not replay_ok:
+        diff = _max_diff([(reference, poly)])
+        replay_ok = args.n < 4 or recurrence.reduced_matrix_check(A, B, args.n)
+        report["verify"] = {"oracle_max_diff": diff, "reduction_replay": replay_ok}
+        if not (diff <= 1e-9 and replay_ok):  # a NaN diff fails
             status = 1
     _dump(report, args.output)
     return status
@@ -164,18 +157,10 @@ def _cmd_structure(args) -> int:
 def _cmd_bench(args) -> int:
     phi = parse_symbol(args.symbol)
     sizes = [int(s) for s in args.sizes.split(",") if s]
+    if not sizes:
+        raise ValueError("--sizes lists no size")
     records = structure.bench_solvers(phi, sizes, repeats=args.repeats)
-    header = (
-        "n,dense_seconds,structured_seconds,speedup,"
-        "max_coeff_diff,dense_residual,structured_residual"
-    )
-    lines = [header]
-    for r in records:
-        lines.append(
-            f"{r['n']},{r['dense_seconds']!r},{r['structured_seconds']!r},"
-            f"{r['speedup']!r},{r['max_coeff_diff']!r},"
-            f"{r['dense_residual']!r},{r['structured_residual']!r}"
-        )
+    lines = [",".join(records[0])] + [",".join(map(repr, r.values())) for r in records]
     _write_text("\n".join(lines) + "\n", args.output)
     return 0
 
@@ -207,147 +192,112 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    """Cross-check the closed forms, the recurrence, the structured solver and
+    the norm machinery against the dense f64 oracle and each other.
+
+    A row is (name, check); check() returns (what, value, tol) and passes when
+    value <= tol, so a NaN value fails, as does a check that raises.  Rows run
+    in order; only recurrence[random-draws] draws from the seeded generator.
+    """
     rng = np.random.default_rng(args.seed)
-    checks: list[tuple[str, bool, str]] = []
-
-    def run(name: str, fn):
-        try:
-            detail = fn()
-            checks.append((name, True, detail or ""))
-        except Exception as exc:  # noqa: BLE001 - verification collects all failures
-            checks.append((name, False, f"{type(exc).__name__}: {exc}"))
-
     entries = catalog()
-
-    for entry in entries:
-        def check_entry(entry=entry):
-            validate_entry(entry)
-            basis = oracle_mod.orthobasis(entry.phi, 12, precision="f64")
-            if basis.residual > 1e-9:
-                raise ArithmeticError(f"residual {basis.residual:.3e}")
-            return f"residual {basis.residual:.2e}"
-
-        run(f"oracle-basis[{entry.name}]", check_entry)
-
-    def check_sarason():
-        form = closed_forms.detect_rational_ab(entries[0].phi)
-        assert form is not None, "detector missed the half-sum symbol"
-        closed = closed_forms.rational_ab_basis(form, 16)
-        ref = oracle_mod.orthobasis(entries[0].phi, 16, precision="f64")
-        diff = _basis_diff(closed, ref)
-        if diff > 1e-10:
-            raise ArithmeticError(f"max diff {diff:.3e}")
-        return f"max diff {diff:.2e}"
-
-    run("closed-form[sarason-half]", check_sarason)
-
-    for N in (2, 3):
-        def check_power(N=N):
-            closed = closed_forms.power_basis(N, 12)
-            ref = oracle_mod.orthobasis(closed.symbol, 12, precision="f64")
-            diff = _basis_diff(closed, ref)
-            if diff > 1e-9:
-                raise ArithmeticError(f"max diff {diff:.3e}")
-            return f"max diff {diff:.2e}"
-
-        run(f"closed-form[power-{N}]", check_power)
-
-    def check_blaschke():
-        phi = entries[3].phi
-        data = recurrence.build_recurrence(
-            phi.constant_term, phi.pole_terms[0].coefficient
-        )
-        worst = 0.0
-        for n in (6, 11):
-            fast = recurrence.coefficients_via_recurrence(data, n)
-            ref = oracle_mod.orthopoly(phi, n, precision="f64")
-            worst = max(worst, float(np.max(np.abs(fast.coefficients - ref.coefficients))))
-        if worst > 1e-9:
-            raise ArithmeticError(f"max diff {worst:.3e}")
-        return f"max diff {worst:.2e}"
-
-    run("recurrence[blaschke-c]", check_blaschke)
-
-    def check_random_recurrence():
-        worst = 0.0
-        for _ in range(20):
-            A = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-            B = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-            if abs(B) < 0.25:
-                continue
-            data = recurrence.build_recurrence(A, B)
-            if data.in_boundary_band:
-                continue
-            n = int(rng.integers(4, 14))
-            fast = recurrence.coefficients_via_recurrence(data, n)
-            phi = closed_forms.RationalABForm(A, B).symbol()
-            ref = oracle_mod.orthopoly(phi, n, precision="f64")
-            worst = max(worst, float(np.max(np.abs(fast.coefficients - ref.coefficients))))
-            if not recurrence.reduced_matrix_check(A, B, 8):
-                raise ArithmeticError("reduction replay failed")
-        if worst > 1e-9:
-            raise ArithmeticError(f"max diff {worst:.3e}")
-        return f"max diff {worst:.2e}"
-
-    run("recurrence[random-draws]", check_random_recurrence)
-
-    def check_structured_m1():
-        phi = closed_forms.RationalABForm(0.0, 1.0).symbol()
-        fast = structure.structured_solve(phi, 24)
-        ref = oracle_mod.orthopoly(phi, 24, precision="f64")
-        diff = float(np.max(np.abs(fast.coefficients - ref.coefficients)))
-        if diff > 1e-8:
-            raise ArithmeticError(f"max diff {diff:.3e}")
-        return f"max diff {diff:.2e}"
-
-    run("structured-solve[m=1]", check_structured_m1)
-
-    def check_structured_m2():
-        phi = SmirnovSymbol(1.0, (PoleTerm(1.0, 1, 1.0), PoleTerm(1.0, 2, 1.0)))
-        fast = structure.structured_solve(phi, 20)
-        ref = oracle_mod.orthopoly(phi, 20, precision="f64")
-        diff = float(np.max(np.abs(fast.coefficients - ref.coefficients)))
-        if diff > 1e-8:
-            raise ArithmeticError(f"max diff {diff:.3e}")
-        return f"max diff {diff:.2e}"
-
-    run("structured-solve[m=2]", check_structured_m2)
-
-    def check_kernel():
-        defect = kernel_truncation_check(entries[0], 0.0, np.array([1.0 + 0j]), 60)
-        if defect > 1e-8:
-            raise ArithmeticError(f"defect {defect:.3e}")
-        return f"defect {defect:.2e}"
-
-    run("kernel-truncation[sarason-half]", check_kernel)
-
-    def check_fm():
-        worst = 0.0
-        for n in range(13):
-            direct = closed_forms.fm_norm_b(n)
-            via_gram = hb_norm_squared(entries[0].phi, closed_forms.fm_polynomial(n))
-            worst = max(worst, abs(direct**2 - via_gram) / direct**2)
-        if worst > 1e-9:
-            raise ArithmeticError(f"relative diff {worst:.3e}")
-        return f"relative diff {worst:.2e}"
-
-    run("dirichlet-crosscheck", check_fm)
-
-    failures = 0
-    for name, ok, detail in checks:
-        tag = "ok" if ok else "FAIL"
-        suffix = f" ({detail})" if detail else ""
-        print(f"[{tag}] {name}{suffix}")
-        failures += 0 if ok else 1
-    print(f"{len(checks) - failures}/{len(checks)} checks passed")
-    return 0 if failures == 0 else 1
+    half_sum = entries[0].phi
+    m1 = closed_forms.RationalABForm(0.0, 1.0).symbol()
+    m2 = SmirnovSymbol(1.0, (PoleTerm(1.0, 1, 1.0), PoleTerm(1.0, 2, 1.0)))
+    rows = [(f"oracle-basis[{e.name}]", functools.partial(_check_catalog, e)) for e in entries]
+    rows += [
+        ("closed-form[sarason-half]", lambda: _check_half_sum(half_sum)),
+        ("closed-form[power-2]", lambda: _check_closed_basis(closed_forms.power_basis(2, 12))),
+        ("closed-form[power-3]", lambda: _check_closed_basis(closed_forms.power_basis(3, 12))),
+        ("recurrence[blaschke-c]", lambda: _check_recurrence(entries[3].phi)),
+        ("recurrence[random-draws]", lambda: _check_random_recurrence(rng)),
+        ("structured-solve[m=1]", lambda: _check_structured(m1, 24)),
+        ("structured-solve[m=2]", lambda: _check_structured(m2, 20)),
+        ("kernel-truncation[sarason-half]", lambda: (
+            "defect", kernel_truncation_check(entries[0], 0.0, np.array([1.0 + 0j]), 60), 1e-8)),
+        ("dirichlet-crosscheck", lambda: _check_dirichlet(half_sum)),
+    ]
+    passed = 0
+    for name, check in rows:
+        try:
+            what, value, tol = check()
+            if not value <= tol:
+                raise ArithmeticError(f"{what} {value:.3e}")
+            print(f"[ok] {name} ({what} {value:.2e})")
+            passed += 1
+        except Exception as exc:  # noqa: BLE001 - verification reports every failure
+            print(f"[FAIL] {name} ({type(exc).__name__}: {exc})")
+    print(f"{passed}/{len(rows)} checks passed")
+    return 0 if passed == len(rows) else 1
 
 
-def _basis_diff(a, b) -> float:
-    worst = 0.0
-    for pa, pb in zip(a.polys, b.polys):
-        worst = max(worst, float(np.max(np.abs(pa.coefficients - pb.coefficients))))
-    return worst
+def _max_diff(pairs) -> float:
+    """Largest |coefficient difference| over (polynomial, polynomial) pairs;
+    0.0 for no pairs, NaN if any difference is NaN."""
+    diffs = [np.max(np.abs(p.coefficients - q.coefficients)) for p, q in pairs]
+    return float(np.max(diffs, initial=0.0))
+
+
+def _oracle_pairs(solve, phi, degrees) -> list:
+    """(solve(n), the f64 oracle's p_n) for each n in ``degrees``."""
+    return [(solve(n), oracle_mod.orthopoly(phi, n, precision="f64")) for n in degrees]
+
+
+def _check_catalog(entry):
+    validate_entry(entry)
+    return "residual", oracle_mod.orthobasis(entry.phi, 12, precision="f64").residual, 1e-9
+
+
+def _check_closed_basis(closed, tol: float = 1e-9):
+    reference = oracle_mod.orthobasis(closed.symbol, len(closed.polys) - 1, precision="f64")
+    return "max diff", _max_diff(zip(closed.polys, reference.polys)), tol
+
+
+def _check_half_sum(phi):
+    form = closed_forms.detect_rational_ab(phi)
+    if form is None:
+        raise AssertionError("detector missed the half-sum symbol")
+    return _check_closed_basis(closed_forms.rational_ab_basis(form, 16), 1e-10)
+
+
+def _check_recurrence(phi):
+    data = recurrence.build_recurrence(phi.constant_term, phi.pole_terms[0].coefficient)
+    solve = functools.partial(recurrence.coefficients_via_recurrence, data)
+    return "max diff", _max_diff(_oracle_pairs(solve, phi, (6, 11))), 1e-9
+
+
+def _check_random_recurrence(rng):
+    """20 draws of A + B/(1-z), skipping |B| < 0.25 and the ambiguous band;
+    each kept draw also replays the row reduction at n = 8."""
+    pairs = []
+    for _ in range(20):
+        A = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        B = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        if abs(B) < 0.25:
+            continue
+        data = recurrence.build_recurrence(A, B)
+        if data.in_boundary_band:
+            continue
+        n = int(rng.integers(4, 14))
+        solve = functools.partial(recurrence.coefficients_via_recurrence, data)
+        pairs += _oracle_pairs(solve, closed_forms.RationalABForm(A, B).symbol(), (n,))
+        if not recurrence.reduced_matrix_check(A, B, 8):
+            raise ArithmeticError("reduction replay failed")
+    return "max diff", _max_diff(pairs), 1e-9
+
+
+def _check_structured(phi, n: int):
+    solve = functools.partial(structure.structured_solve, phi)
+    return "max diff", _max_diff(_oracle_pairs(solve, phi, (n,))), 1e-8
+
+
+def _check_dirichlet(phi):
+    """||Q_n||^2 of the local Dirichlet family: closed form against the Gram norm."""
+    rel = []
+    for n in range(13):
+        direct = closed_forms.fm_norm_b(n)
+        rel.append(abs(direct**2 - hb_norm_squared(phi, closed_forms.fm_polynomial(n))) / direct**2)
+    return "relative diff", float(np.max(rel)), 1e-9
 
 
 @functools.cache

@@ -19,9 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 
 from . import gram as gram_mod
+from .backends import VALID_TAGS, to_mpc, workprec
 from .catalog import power_symbol
 from .oracle import OrthoBasis, OrthoPoly
 from .symbol import CompositionOrderError, PoleTerm, SmirnovSymbol, SymbolLike, compose_monomial
@@ -71,22 +73,37 @@ def detect_rational_ab(phi: SmirnovSymbol) -> RationalABForm | None:
     return form if form.satisfies_theorem else None
 
 
+def rational_ab_poly(form: RationalABForm, n: int, precision: str = "f64") -> OrthoPoly:
+    """p_n of the shifted-monomial family in O(n).  With ``precision`` "hp"
+    the coefficients are evaluated in mpmath and kept as ``hp_coefficients``."""
+    if precision not in VALID_TAGS:
+        raise ValueError(f"unknown precision tag {precision!r}; expected one of {VALID_TAGS}")
+    return _shifted_monomials(form, (n,), hp=precision == "hp")[0]
+
+
 def rational_ab_basis(form: RationalABForm, n: int) -> OrthoBasis:
     """Normalized basis 1/||1||, z^{k-1}(z-1)/||.|| up to degree n."""
+    polys = tuple(_shifted_monomials(form, range(n + 1), hp=False))
+    return OrthoBasis(polys, form.symbol(), "closed-form", 0.0)
+
+
+def _shifted_monomials(form: RationalABForm, degrees, hp: bool) -> list[OrthoPoly]:
+    """p_n = 1/||1|| at n = 0, else z^{n-1}(z-1)/(|A| + 1/|A|), for each n in
+    ``degrees``; in mpmath arithmetic if ``hp``."""
     if not form.satisfies_theorem:
-        raise PreconditionViolated(
-            "rational_ab_basis requires conj(A) B = -(1+|A|^2)"
-        )
-    a = abs(form.A)
-    norm0 = math.sqrt(1.0 + 1.0 / a**2)
-    norm_tail = a + 1.0 / a
-    polys = [OrthoPoly(0, np.array([1.0 / norm0], dtype=complex))]
-    for k in range(1, n + 1):
-        coeffs = np.zeros(k + 1, dtype=complex)
-        coeffs[k] = 1.0 / norm_tail
-        coeffs[k - 1] = -1.0 / norm_tail
-        polys.append(OrthoPoly(k, coeffs))
-    return OrthoBasis(tuple(polys), form.symbol(), "closed-form", 0.0)
+        raise PreconditionViolated("the shifted-monomial family requires conj(A) B = -(1+|A|^2)")
+    # all arithmetic inside: mpmath rounds even a negation to the working precision
+    with workprec():
+        a = abs(to_mpc(form.A)) if hp else abs(form.A)
+        sqrt, zero = (mpmath.sqrt, mpmath.mpc(0)) if hp else (math.sqrt, 0.0)
+        lead = zero + 1 / (a + 1 / a)
+        head, tail = [zero + 1 / sqrt(1 + 1 / a**2)], [-lead, lead]
+    polys = []
+    for n in degrees:
+        coeffs = [zero] * (n - 1) + tail if n else head
+        hp_coefficients = tuple(coeffs) if hp else None
+        polys.append(OrthoPoly(n, np.array(coeffs, dtype=complex), hp_coefficients=hp_coefficients))
+    return polys
 
 
 def power_basis(N: int, n: int) -> OrthoBasis:

@@ -307,7 +307,7 @@ def bench_solvers(phi: SmirnovSymbol, sizes, agreement_tol: float = 1e-7, repeat
             t_fast = min(t_fast, time.perf_counter() - t0)
 
         diff = float(np.max(np.abs(dense.coefficients - fast.coefficients)))
-        if diff > agreement_tol:
+        if not diff <= agreement_tol:  # NaN fails
             raise ArithmeticError(
                 f"solver disagreement {diff:.3e} at n={n} exceeds {agreement_tol}"
             )

@@ -1,4 +1,6 @@
+import argparse
 import json
+import re
 import shlex
 from pathlib import Path
 
@@ -6,6 +8,7 @@ import numpy as np
 import pytest
 
 from hbortho import OrthoBasis, OrthoPoly, orthobasis, parse_symbol
+from hbortho import cli
 from hbortho.cli import _basis_json, build_parser, main
 
 
@@ -285,6 +288,11 @@ class TestBenchCommand:
         assert seen == [{"repeats": 2}]
         assert len(out.strip().splitlines()) == 2
 
+    def test_no_sizes_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, ["bench", "--symbol", "0;(1,1,1)", "--sizes", ","])
+        assert code == 2 and out == ""
+        assert "--sizes" in err
+
 
 class TestCatalogCommand:
     def test_listing(self, capsys):
@@ -299,17 +307,51 @@ class TestCatalogCommand:
         assert tags["blaschke-c"] == "three-term recurrence"
 
 
+#: the names ``verify`` prints, in order
+VERIFY_CHECKS = [
+    "oracle-basis[sarason-half]", "oracle-basis[power-2]", "oracle-basis[power-3]",
+    "oracle-basis[blaschke-c]", "closed-form[sarason-half]", "closed-form[power-2]",
+    "closed-form[power-3]", "recurrence[blaschke-c]", "recurrence[random-draws]",
+    "structured-solve[m=1]", "structured-solve[m=2]", "kernel-truncation[sarason-half]",
+    "dirichlet-crosscheck",
+]
+
+
 class TestVerifyCommand:
     def test_seed_42(self, capsys):
         code, out, _ = run_cli(capsys, ["verify", "--seed", "42"])
         assert code == 0
-        assert "FAIL" not in out
-        assert "checks passed" in out
+        *lines, total = out.splitlines()
+        assert total == "13/13 checks passed"
+        assert len(lines) == len(VERIFY_CHECKS)
+        detail = r"\((residual|max diff|defect|relative diff) \d\.\d\de[+-]\d\d\)"
+        for name, line in zip(VERIFY_CHECKS, lines):
+            assert re.fullmatch(rf"\[ok\] {re.escape(name)} {detail}", line), line
 
     def test_deterministic(self, capsys):
         _, out1, _ = run_cli(capsys, ["verify", "--seed", "7"])
         _, out2, _ = run_cli(capsys, ["verify", "--seed", "7"])
         assert out1 == out2
+
+    @pytest.mark.parametrize(
+        "defect, detail",
+        [(1.0, "ArithmeticError: defect 1.000e+00"), (float("nan"), "ArithmeticError: defect nan"),
+         (ValueError("boom"), "ValueError: boom")],
+        ids=["above-tol", "nan", "raises"],
+    )
+    def test_failed_check(self, capsys, monkeypatch, defect, detail):
+        def check(*args):
+            if isinstance(defect, Exception):
+                raise defect
+            return defect
+
+        monkeypatch.setattr(cli, "kernel_truncation_check", check)
+        code, out, _ = run_cli(capsys, ["verify"])
+        lines = out.splitlines()
+        assert code == 1
+        assert f"[FAIL] kernel-truncation[sarason-half] ({detail})" in lines
+        assert sum(line.startswith("[ok] ") for line in lines) == 12
+        assert lines[-1] == "12/13 checks passed"
 
 
 class TestUsageErrors:
@@ -327,6 +369,27 @@ class TestUsageErrors:
         code, _, err = run_cli(capsys, ["basis", "--symbol", "zzz", "--n", "3"])
         assert code == 2
         assert "error" in err
+
+
+def test_parser_surface():
+    """Every subcommand and each of its options; adding or removing one is a
+    change to the command line interface, made here on purpose."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    surface = {
+        name: sorted(o for a in p._actions for o in a.option_strings) for name, p in sub.choices.items()
+    }
+    common = ["--help", "-h"]
+    assert sorted(o for a in parser._actions for o in a.option_strings) == common
+    assert surface == {
+        "basis": sorted(common + ["--symbol", "--n", "--precision", "--out", "--output"]),
+        "gram": sorted(common + ["--symbol", "--n", "--out", "--output"]),
+        "recurrence": sorted(common + ["--A", "--B", "--n", "--precision", "--verify", "--output"]),
+        "structure": sorted(common + ["--symbol", "--n", "--report", "--output"]),
+        "bench": sorted(common + ["--symbol", "--sizes", "--repeats", "--out", "--output"]),
+        "catalog": sorted(common + ["--output"]),
+        "verify": sorted(common + ["--seed"]),
+    }
 
 
 def readme_cli_lines():

@@ -26,7 +26,7 @@ from hbortho import (
 )
 from hbortho import gram as gram_mod
 from hbortho import oracle as oracle_mod
-from hbortho.backends import AUTO_F64_TOL, F64_EPS, auto_precision, cond_bound, resolve_precision
+from hbortho.backends import AUTO_F64_TOL, F64_EPS, auto_precision, cond_bound, requested_precision
 from hbortho.oracle import OrthoBasis, OrthoPoly
 
 def exact_unit_pole_solution():
@@ -302,11 +302,11 @@ class TestPrecisionPolicy:
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("HB_PRECISION", "hp")
-        assert resolve_precision(None, 4) == "hp"
+        assert requested_precision(None) == "hp"
 
     def test_invalid_tag(self):
         with pytest.raises(ValueError):
-            resolve_precision("quad", 4)
+            requested_precision("quad")
 
     def test_hp_needs_structured_symbol(self):
         stream = TaylorStream(lambda n: 1.0, label="plain")

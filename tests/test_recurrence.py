@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_generic_ab
+from conftest import random_admissible_ab, random_generic_ab
 from hbortho import (
     CaseBoundary,
     SingularBorder,
@@ -16,10 +17,12 @@ from hbortho import (
     blaschke_symbol,
     build_recurrence,
     coefficients_via_recurrence,
+    detect_rational_ab,
     orthopoly,
     recurrence_residual,
     reduced_matrix_check,
 )
+from hbortho import recurrence
 from hbortho.backends import to_mpc
 from hbortho.recurrence import (
     CASE_DEGENERATE,
@@ -102,6 +105,17 @@ class TestClassification:
             expected = B**2 * ((2 * A + B) ** 2 + 4.0)
             assert abs(data.disc - expected) <= 1e-9 * expected
 
+    @pytest.mark.parametrize("rel, degenerate", [(0.0, True), (1e-13, True), (1e-11, False)])
+    def test_degenerate_iff_detected(self, rel, degenerate):
+        # one relation test: the recurrence's degenerate case is the closed-form detector's
+        rng = np.random.default_rng(14)
+        for _ in range(25):
+            A, B = random_admissible_ab(rng)
+            B *= 1.0 + rel * np.exp(2j * np.pi * rng.uniform())
+            found = detect_rational_ab(ab_symbol(A, B)) is not None
+            assert found is degenerate
+            assert (build_recurrence(A, B).case_tag == CASE_DEGENERATE) is found
+
     def test_b_zero_rejected(self):
         with pytest.raises(ValueError):
             build_recurrence(1.0, 0.0)
@@ -115,6 +129,43 @@ class TestCoefficients:
         expected[5] = 0.5
         expected[4] = -0.5
         assert np.allclose(p.coefficients, expected, atol=1e-12)
+
+    def test_degenerate_family_memory(self):
+        # p_n has two nonzero coefficients; nothing of the basis below it is built
+        data = build_recurrence(1.0, -2.0)
+        tracemalloc.start()
+        try:
+            p = coefficients_via_recurrence(data, 8000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert np.flatnonzero(p.coefficients).tolist() == [7999, 8000]
+
+    @pytest.mark.parametrize("A, B", [(1.0, -2.0), (1j, -2j), (2.0, -2.5)])
+    def test_degenerate_family_hp(self, A, B):
+        data = build_recurrence(A, B)
+        assert data.case_tag == CASE_DEGENERATE
+        for n in range(6, 21):
+            p = coefficients_via_recurrence(data, n, precision="hp")
+            ref = orthopoly(ab_symbol(A, B), n, precision="hp")
+            assert p.hp_coefficients is not None
+            with mpmath.workprec(160):
+                diff = max(abs(x - y) for x, y in zip(p.hp_coefficients, ref.hp_coefficients))
+                assert diff < mpmath.mpf("1e-40")
+
+    def test_nan_coefficient_is_singular_border(self, monkeypatch):
+        # a NaN below the leading coefficient fails the residual check
+        real = recurrence._simple_roots
+
+        def poisoned(*args):
+            coeffs = real(*args)
+            coeffs[1] = complex("nan")
+            return coeffs
+
+        monkeypatch.setattr(recurrence, "_simple_roots", poisoned)
+        with pytest.raises(SingularBorder, match="residual"):
+            coefficients_via_recurrence(build_recurrence(0.0, 1.0), 8)
 
     @pytest.mark.parametrize("n", list(range(2, 13)))
     def test_unit_pole_matches_oracle(self, n):
@@ -296,6 +347,10 @@ class TestReductionReplay:
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
             reduced_matrix_check(0.0, 1.0, 3)
+
+    def test_nan_fails(self):
+        with np.errstate(all="ignore"):
+            assert not reduced_matrix_check(complex("nan"), 1.0, 6)
 
 
 class TestBlaschkeFamily:

@@ -8,6 +8,7 @@ import pytest
 from conftest import random_generic_ab
 from hbortho import (
     NumericalBreakdown,
+    OrthoPoly,
     PoleTerm,
     RationalABForm,
     SmirnovSymbol,
@@ -21,6 +22,7 @@ from hbortho import (
     orthopoly,
     rational_ab_basis,
     sarason_symbol,
+    structure,
     structured_solve,
 )
 from hbortho.structure import system_residual
@@ -371,6 +373,14 @@ class TestBench:
         assert rec["max_coeff_diff"] <= 1e-7
         assert rec["dense_residual"] < 1e-10
         assert rec["structured_residual"] < 1e-10
+
+    def test_nan_disagreement_raises(self, monkeypatch):
+        def nan_solve(phi, n):
+            return OrthoPoly(n, np.full(n + 1, complex("nan")))
+
+        monkeypatch.setattr(structure, "structured_solve", nan_solve)
+        with pytest.raises(ArithmeticError, match="disagreement"):
+            bench_solvers(unit_pole(), [16])
 
     def test_agreement_enforced(self):
         records = bench_solvers(double_pole_symbol(1.0, 1.0, 1.0), [24, 48])
