@@ -33,7 +33,6 @@ from .closed_forms import (
     monomial_orthogonality_witness,
     power_basis,
     rational_ab_basis,
-    rational_ab_poly,
 )
 from .gram import (
     GramMatrix,
@@ -133,7 +132,6 @@ __all__ = [
     "power_entry",
     "power_symbol",
     "rational_ab_basis",
-    "rational_ab_poly",
     "recurrence_residual",
     "reduced_matrix_check",
     "rotate_basis",

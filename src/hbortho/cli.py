@@ -116,7 +116,9 @@ def _cmd_recurrence(args) -> int:
     try:
         poly = recurrence.coefficients_via_recurrence(data, args.n, precision=args.precision)
         report["coefficients"] = [_c(z) for z in poly.coefficients]
-        report["recurrence_residual"] = recurrence.recurrence_residual(data, poly.coefficients)
+        report["recurrence_residual"] = recurrence.recurrence_residual(
+            data, poly.coefficients
+        )
     except recurrence.CaseBoundary as exc:
         report["error"] = str(exc)
         status = 1
@@ -160,7 +162,8 @@ def _cmd_bench(args) -> int:
     if not sizes:
         raise ValueError("--sizes lists no size")
     records = structure.bench_solvers(phi, sizes, repeats=args.repeats)
-    lines = [",".join(records[0])] + [",".join(map(repr, r.values())) for r in records]
+    lines = [",".join(records[0])]
+    lines += [",".join(map(repr, r.values())) for r in records]
     _write_text("\n".join(lines) + "\n", args.output)
     return 0
 
@@ -213,8 +216,7 @@ def _cmd_verify(args) -> int:
         ("recurrence[random-draws]", lambda: _check_random_recurrence(rng)),
         ("structured-solve[m=1]", lambda: _check_structured(m1, 24)),
         ("structured-solve[m=2]", lambda: _check_structured(m2, 20)),
-        ("kernel-truncation[sarason-half]", lambda: (
-            "defect", kernel_truncation_check(entries[0], 0.0, np.array([1.0 + 0j]), 60), 1e-8)),
+        ("kernel-truncation[sarason-half]", lambda: _check_kernel(entries[0])),
         ("dirichlet-crosscheck", lambda: _check_dirichlet(half_sum)),
     ]
     passed = 0
@@ -238,11 +240,6 @@ def _max_diff(pairs) -> float:
     return float(np.max(diffs, initial=0.0))
 
 
-def _oracle_pairs(solve, phi, degrees) -> list:
-    """(solve(n), the f64 oracle's p_n) for each n in ``degrees``."""
-    return [(solve(n), oracle_mod.orthopoly(phi, n, precision="f64")) for n in degrees]
-
-
 def _check_catalog(entry):
     validate_entry(entry)
     return "residual", oracle_mod.orthobasis(entry.phi, 12, precision="f64").residual, 1e-9
@@ -262,8 +259,11 @@ def _check_half_sum(phi):
 
 def _check_recurrence(phi):
     data = recurrence.build_recurrence(phi.constant_term, phi.pole_terms[0].coefficient)
-    solve = functools.partial(recurrence.coefficients_via_recurrence, data)
-    return "max diff", _max_diff(_oracle_pairs(solve, phi, (6, 11))), 1e-9
+    pairs = [
+        (recurrence.coefficients_via_recurrence(data, n), oracle_mod.orthopoly(phi, n, precision="f64"))
+        for n in (6, 11)
+    ]
+    return "max diff", _max_diff(pairs), 1e-9
 
 
 def _check_random_recurrence(rng):
@@ -279,16 +279,21 @@ def _check_random_recurrence(rng):
         if data.in_boundary_band:
             continue
         n = int(rng.integers(4, 14))
-        solve = functools.partial(recurrence.coefficients_via_recurrence, data)
-        pairs += _oracle_pairs(solve, closed_forms.RationalABForm(A, B).symbol(), (n,))
+        fast = recurrence.coefficients_via_recurrence(data, n)
+        phi = closed_forms.RationalABForm(A, B).symbol()
+        pairs.append((fast, oracle_mod.orthopoly(phi, n, precision="f64")))
         if not recurrence.reduced_matrix_check(A, B, 8):
             raise ArithmeticError("reduction replay failed")
     return "max diff", _max_diff(pairs), 1e-9
 
 
 def _check_structured(phi, n: int):
-    solve = functools.partial(structure.structured_solve, phi)
-    return "max diff", _max_diff(_oracle_pairs(solve, phi, (n,))), 1e-8
+    pair = (structure.structured_solve(phi, n), oracle_mod.orthopoly(phi, n, precision="f64"))
+    return "max diff", _max_diff([pair]), 1e-8
+
+
+def _check_kernel(entry):
+    return "defect", kernel_truncation_check(entry, 0.0, np.array([1.0 + 0j]), 60), 1e-8
 
 
 def _check_dirichlet(phi):

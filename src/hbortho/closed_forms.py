@@ -23,7 +23,7 @@ import mpmath
 import numpy as np
 
 from . import gram as gram_mod
-from .backends import VALID_TAGS, to_mpc, workprec
+from .backends import to_mpc, workprec
 from .catalog import power_symbol
 from .oracle import OrthoBasis, OrthoPoly
 from .symbol import CompositionOrderError, PoleTerm, SmirnovSymbol, SymbolLike, compose_monomial
@@ -73,14 +73,6 @@ def detect_rational_ab(phi: SmirnovSymbol) -> RationalABForm | None:
     return form if form.satisfies_theorem else None
 
 
-def rational_ab_poly(form: RationalABForm, n: int, precision: str = "f64") -> OrthoPoly:
-    """p_n of the shifted-monomial family in O(n).  With ``precision`` "hp"
-    the coefficients are evaluated in mpmath and kept as ``hp_coefficients``."""
-    if precision not in VALID_TAGS:
-        raise ValueError(f"unknown precision tag {precision!r}; expected one of {VALID_TAGS}")
-    return _shifted_monomials(form, (n,), hp=precision == "hp")[0]
-
-
 def rational_ab_basis(form: RationalABForm, n: int) -> OrthoBasis:
     """Normalized basis 1/||1||, z^{k-1}(z-1)/||.|| up to degree n."""
     polys = tuple(_shifted_monomials(form, range(n + 1), hp=False))
@@ -89,7 +81,8 @@ def rational_ab_basis(form: RationalABForm, n: int) -> OrthoBasis:
 
 def _shifted_monomials(form: RationalABForm, degrees, hp: bool) -> list[OrthoPoly]:
     """p_n = 1/||1|| at n = 0, else z^{n-1}(z-1)/(|A| + 1/|A|), for each n in
-    ``degrees``; in mpmath arithmetic if ``hp``."""
+    ``degrees``, in O(n) each; in mpmath arithmetic if ``hp``, which is exact
+    to the working precision only when the relation holds exactly."""
     if not form.satisfies_theorem:
         raise PreconditionViolated("the shifted-monomial family requires conj(A) B = -(1+|A|^2)")
     # all arithmetic inside: mpmath rounds even a negation to the working precision

@@ -13,9 +13,10 @@ The characteristic quadratic  q(z) = conj(t0) z^2 + (t1-t0) z + t0  drives a
 case split: t0 = 0 collapses the recurrence to the shifted-monomial family.
 Since conj(t0) = conj(A) B + 1 + |A|^2, that case is exactly the relation of
 ``RationalABForm.satisfies_theorem``, and its p_n, two nonzero coefficients,
-is written down directly in O(n) in the requested arithmetic.  Otherwise q
-has two roots with product t0/conj(t0).  Its middle coefficient
-is real and its discriminant works out to
+is written down directly in O(n).  In hp that closed form serves only pairs
+whose relation is exact in binary; a pair that meets it to rounding goes to
+the hp oracle.  Otherwise q has two roots with product t0/conj(t0).  Its
+middle coefficient is real and its discriminant works out to
 
     disc = (2 Re t0 + |B|^2)^2 - 4 |t0|^2  >=  4 |B|^2  >  0,
 
@@ -31,6 +32,7 @@ import cmath
 import logging
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, NamedTuple
 
 import mpmath
@@ -38,7 +40,7 @@ import numpy as np
 
 from . import oracle as oracle_mod
 from .backends import VALID_TAGS, solve_small, to_mpc, workprec
-from .closed_forms import RationalABForm, rational_ab_poly
+from .closed_forms import RationalABForm, _shifted_monomials
 from .gram import gram_matrix, hb_norm_squared
 from .oracle import OrthoPoly
 
@@ -166,6 +168,13 @@ def build_recurrence(A: complex, B: complex) -> RecurrenceData:
     )
 
 
+def _relation_is_exact(A: complex, B: complex) -> bool:
+    """conj(A) B + 1 + |A|^2 == 0 exactly, in rational arithmetic on the binary
+    values (``satisfies_theorem`` allows a 1e-12 relative slack)."""
+    ar, ai, br, bi = (Fraction(x) for x in (A.real, A.imag, B.real, B.imag))
+    return ar * br + ai * bi + 1 + ar * ar + ai * ai == 0 and ar * bi == ai * br
+
+
 def _quadratic_roots(a, b, c, arith: _Arithmetic) -> tuple[complex, complex]:
     """Roots of a z^2 + b z + c, cancellation-free, ordered small to large."""
     sq = arith.sqrt(b * b - 4.0 * a * c)
@@ -184,19 +193,21 @@ def coefficients_via_recurrence(
     """Orthonormal polynomial of degree n from the closed-form recurrence.
 
     Degrees 0 and 1 sit below the recurrence machinery and fall through to
-    the dense oracle.  ``precision`` "hp" evaluates the same closed forms in
-    mpmath arithmetic, from scalars recomputed out of A and B.  Raises
-    :class:`CaseBoundary` inside the ambiguous discriminant band and
-    :class:`SingularBorder` when the bordered system cannot be solved
+    the dense oracle, as does an hp request for a degenerate pair whose
+    relation holds only to rounding.  ``precision`` "hp" evaluates the same
+    closed forms in mpmath arithmetic, from scalars recomputed out of A and
+    B.  Raises :class:`CaseBoundary` inside the ambiguous discriminant band
+    and :class:`SingularBorder` when the bordered system cannot be solved
     reliably (retry with precision="hp").
     """
     if precision not in VALID_TAGS:
         raise ValueError(f"unknown precision tag {precision!r}; expected one of {VALID_TAGS}")
-    if n < 2:
-        phi = RationalABForm(data.A, data.B).symbol()
-        return oracle_mod.orthopoly(phi, n, precision=precision)
-    if data.case_tag == CASE_DEGENERATE:
-        return rational_ab_poly(RationalABForm(data.A, data.B), n, precision=precision)
+    if n < 2 or data.case_tag == CASE_DEGENERATE:
+        form = RationalABForm(data.A, data.B)
+        if n >= 2 and (precision == "f64" or _relation_is_exact(data.A, data.B)):
+            return _shifted_monomials(form, (n,), hp=precision == "hp")[0]
+        # off the relation by rounding, the symbol is off the family by as much
+        return oracle_mod.orthopoly(form.symbol(), n, precision=precision)
     if data.in_boundary_band:
         raise CaseBoundary(
             f"discriminant ratio {data.disc_ratio:.3e} is inside the ambiguous band"

@@ -142,7 +142,12 @@ class TestCoefficients:
         assert peak < 1_000_000
         assert np.flatnonzero(p.coefficients).tolist() == [7999, 8000]
 
-    @pytest.mark.parametrize("A, B", [(1.0, -2.0), (1j, -2j), (2.0, -2.5)])
+    # exact in binary: (1, -2), (1j, -2j), (2, -2.5); the seeded pairs and the
+    # 1e-13 perturbation meet the relation only to rounding or to that slack
+    @pytest.mark.parametrize("A, B", [
+        (1.0, -2.0), (1j, -2j), (2.0, -2.5), (1.0, -2.0 * (1 + 1e-13)),
+        *(random_admissible_ab(np.random.default_rng(seed)) for seed in range(3)),
+    ])
     def test_degenerate_family_hp(self, A, B):
         data = build_recurrence(A, B)
         assert data.case_tag == CASE_DEGENERATE
@@ -153,6 +158,18 @@ class TestCoefficients:
             with mpmath.workprec(160):
                 diff = max(abs(x - y) for x, y in zip(p.hp_coefficients, ref.hp_coefficients))
                 assert diff < mpmath.mpf("1e-40")
+
+    def test_degenerate_hp_route(self, monkeypatch):
+        # the closed form serves f64, and hp only where the relation is exact in binary
+        routed = []
+        monkeypatch.setattr(
+            recurrence.oracle_mod, "orthopoly", lambda phi, n, precision: routed.append(precision)
+        )
+        rounded = random_admissible_ab(np.random.default_rng(0))
+        for A, B in [(1.0, -2.0), (1j, -2j), (2.0, -2.5), rounded]:
+            coefficients_via_recurrence(build_recurrence(A, B), 7, precision="hp")
+        coefficients_via_recurrence(build_recurrence(*rounded), 7)
+        assert routed == ["hp"]
 
     def test_nan_coefficient_is_singular_border(self, monkeypatch):
         # a NaN below the leading coefficient fails the residual check
