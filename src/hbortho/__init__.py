@@ -2,11 +2,13 @@
 
 The space is driven by a rational quotient phi = b/a with poles on the unit
 circle; norms and inner products of polynomials reduce to finite sums over
-phi's Taylor coefficients.  The package provides a brute-force oracle (dense
-Gram solves, optionally in software high precision), the known closed-form
-bases with their detectors, the three-term recurrence solver for a single
-simple pole, and a structured solver that exploits the banded-plus-low-rank
-shape of the row-reduced Gram systems.
+phi's Taylor coefficients.  The package provides a brute-force oracle (one
+Schur factorization of the Gram matrix, optionally in software high
+precision), the known closed-form bases with their detectors, the three-term
+recurrence solver for a single simple pole, and a structured solver for poles
+at 1 that factors the banded matrix K of phi's rational form; only its
+calibration measures the banded-plus-low-rank shape of the row-reduced Gram
+systems.
 """
 
 from .catalog import (
@@ -35,11 +37,9 @@ from .closed_forms import (
     rational_ab_basis,
 )
 from .gram import (
-    GramMatrix,
     gram_matrix,
     hb_norm_squared,
     kernel_truncation_check,
-    monomial_inner,
     orthonormality_defect,
     poly_inner,
     toeplitz_conj_apply,
@@ -79,7 +79,6 @@ from .symbol import (
     format_symbol,
     parse_symbol,
     rotate_symbol,
-    taylor_coefficients,
 )
 
 __all__ = [
@@ -88,7 +87,6 @@ __all__ = [
     "CompositionOrderError",
     "FM_NORM_LIMIT",
     "FM_NORM_RATIO",
-    "GramMatrix",
     "NumericalBreakdown",
     "OrthoBasis",
     "OrthoPoly",
@@ -121,7 +119,6 @@ __all__ = [
     "gram_matrix",
     "hb_norm_squared",
     "kernel_truncation_check",
-    "monomial_inner",
     "monomial_orthogonality_witness",
     "orthobasis",
     "orthonormality_defect",
@@ -138,7 +135,6 @@ __all__ = [
     "rotate_symbol",
     "sarason_symbol",
     "structured_solve",
-    "taylor_coefficients",
     "toeplitz_conj_apply",
     "validate_entry",
 ]

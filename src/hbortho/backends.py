@@ -6,24 +6,22 @@
 "hp" runs the same code as "f64" wherever numpy allows it: the oracle's one
 Schur factorization of the Gram matrix (O(n^2), ``gram.schur_factor``, whose
 f64 rotations are BLAS calls and whose hp rotations are the same formulas in
-numpy expressions), the Gram assembly and the closed forms of the recurrence take their arithmetic
-from their numbers (complex128, or ``mpmath.mpc`` in object arrays), and
-``solve_small`` solves border systems of any element type.
+numpy expressions), the Gram assembly and the closed forms of the recurrence
+take their arithmetic from their numbers (complex128, or ``mpmath.mpc`` in
+object arrays), and ``solve_small`` solves border systems of any element type.
 
-An explicit tag, or else ``HB_PRECISION`` ("f64" or "hp"), selects the
-backend.  Without either the request is *automatic* and its conditioning, not
-its degree, decides.  The Gram matrix is M = I + L L^H (L the Toeplitz matrix
-of phi_0 .. phi_n), so lambda_min(M) >= 1 and cond(M) <= ``cond_bound`` =
-1 + (sum_k |phi_k|)^2.  A Cholesky solve loses about eps * cond(M) (Higham,
-*Accuracy and Stability of Numerical Algorithms*, 2nd ed., ch. 10), so an
-automatic request runs in f64 when eps * cond_bound <= ``AUTO_F64_TOL`` and
-in hp above; the oracle checks each such f64 result against the same
-tolerance and recomputes it in hp if the check fails.
+The caller's tag alone selects the backend.  Without one the request is
+*automatic* and its conditioning, not its degree, decides.  The Gram matrix
+is M = I + L L^H (L the Toeplitz matrix of phi_0 .. phi_n), so
+lambda_min(M) >= 1 and cond(M) <= ``cond_bound`` = 1 + (sum_k |phi_k|)^2.
+A Cholesky solve loses about eps * cond(M) (Higham, *Accuracy and Stability
+of Numerical Algorithms*, 2nd ed., ch. 10), so an automatic request runs in
+f64 when eps * cond_bound <= ``AUTO_F64_TOL`` and in hp above; the oracle
+checks each such f64 result against the same tolerance and recomputes it in
+hp if the check fails.
 """
 
 from __future__ import annotations
-
-import os
 
 import mpmath
 import numpy as np
@@ -45,20 +43,6 @@ def cond_bound(phi, n: int) -> float:
     with np.errstate(over="ignore"):  # a sum past the float range is the bound inf
         total = float(np.sum(np.abs(phi.taylor(n + 1))))
     return 1.0 + total * total  # a float ** 2 would raise OverflowError, not give inf
-
-
-def requested_precision(tag: str | None) -> str | None:
-    """The backend asked for by ``tag`` or else ``HB_PRECISION``; None if automatic."""
-    if tag is None:
-        tag = os.environ.get("HB_PRECISION")
-    if tag is not None and tag not in VALID_TAGS:
-        raise ValueError(f"unknown precision tag {tag!r}; expected one of {VALID_TAGS}")
-    return tag
-
-
-def auto_precision(cond: float) -> str:
-    """Backend of an automatic request whose Gram matrix has cond(M) <= cond."""
-    return "f64" if F64_EPS * cond <= AUTO_F64_TOL else "hp"
 
 
 def workprec():

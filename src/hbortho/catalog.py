@@ -126,16 +126,22 @@ def catalog() -> list[CatalogEntry]:
     ]
 
 
-def validate_entry(entry: CatalogEntry, samples: int = 64, tol: float = 1e-10) -> float:
+#: ``validate_entry`` accepts |a|^2 + |b|^2 within VALIDATE_TOL of 1 at
+#: VALIDATE_SAMPLES equispaced circle points
+VALIDATE_TOL = 1e-10
+VALIDATE_SAMPLES = 64
+
+
+def validate_entry(entry: CatalogEntry) -> float:
     """Max deviation of |a|^2 + |b|^2 from 1 over equispaced circle samples.
 
-    Raises if the deviation exceeds ``tol`` or a(0) is not real positive.
+    Raises if the deviation exceeds ``VALIDATE_TOL`` or a(0) is not real positive.
     """
     worst = 0.0
-    for k in range(samples):
-        z = np.exp(2j * np.pi * k / samples)
+    for k in range(VALIDATE_SAMPLES):
+        z = np.exp(2j * np.pi * k / VALIDATE_SAMPLES)
         worst = max(worst, abs(abs(entry.a(z)) ** 2 + abs(entry.b(z)) ** 2 - 1.0))
-    if worst > tol:
+    if worst > VALIDATE_TOL:
         raise ValueError(f"{entry.name}: |a|^2+|b|^2 deviates from 1 by {worst:.3e}")
     a0 = entry.a(0.0)
     if not (abs(a0.imag) < 1e-14 and a0.real > 0):

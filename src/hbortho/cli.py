@@ -17,6 +17,7 @@ import numpy as np
 
 from . import closed_forms, recurrence, structure
 from . import oracle as oracle_mod
+from .backends import workprec
 from .catalog import catalog, validate_entry
 from .gram import gram_matrix, hb_norm_squared, kernel_truncation_check
 from .symbol import PoleTerm, SmirnovSymbol, SymbolError, format_symbol, parse_complex, parse_symbol
@@ -87,16 +88,16 @@ def _cmd_basis(args) -> int:
 
 def _cmd_gram(args) -> int:
     phi = parse_symbol(args.symbol)
-    gm = gram_matrix(phi, args.n)
+    entries = gram_matrix(phi, args.n)
     if args.out == "json":
         payload = {
             "n": args.n,
-            "entries": [[_c(z) for z in row] for row in gm.entries],
+            "entries": [[_c(z) for z in row] for row in entries],
         }
         _dump(payload, args.output)
     else:
         # each row as re,im pairs
-        lines = [",".join(map(repr, row)) for row in gm.entries.view(np.float64).tolist()]
+        lines = [",".join(map(repr, row)) for row in entries.view(np.float64).tolist()]
         _write_text("\n".join(lines) + "\n", args.output)
     return 0
 
@@ -116,19 +117,23 @@ def _cmd_recurrence(args) -> int:
     try:
         poly = recurrence.coefficients_via_recurrence(data, args.n, precision=args.precision)
         report["coefficients"] = [_c(z) for z in poly.coefficients]
-        report["recurrence_residual"] = recurrence.recurrence_residual(
-            data, poly.coefficients
-        )
+        report["recurrence_residual"] = recurrence.recurrence_residual(data, poly.coefficients)
     except recurrence.CaseBoundary as exc:
         report["error"] = str(exc)
         status = 1
     if args.verify and status == 0:
+        # an hp result is checked in hp, against the hp oracle
         phi = closed_forms.RationalABForm(A, B).symbol()
-        reference = oracle_mod.orthopoly(phi, args.n, precision="f64")
-        diff = _max_diff([(reference, poly)])
+        reference = oracle_mod.orthopoly(phi, args.n, precision=args.precision)
+        if args.precision == "hp":
+            with workprec():
+                gaps = [abs(p - q) for p, q in zip(poly.hp_coefficients, reference.hp_coefficients)]
+            diff, tol = float(np.max(np.array(gaps, dtype=float))), 1e-40
+        else:
+            diff, tol = _max_diff([(reference, poly)]), 1e-9
         replay_ok = args.n < 4 or recurrence.reduced_matrix_check(A, B, args.n)
         report["verify"] = {"oracle_max_diff": diff, "reduction_replay": replay_ok}
-        if not (diff <= 1e-9 and replay_ok):  # a NaN diff fails
+        if not (diff <= tol and replay_ok):  # a NaN diff fails
             status = 1
     _dump(report, args.output)
     return status
@@ -322,8 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument(
         "--precision", choices=["f64", "hp"], default=None,
-        help="backend (default: HB_PRECISION if set, else f64 when the conditioning bound "
-        "allows it, verified to residual 1e-8 and recomputed in hp if it fails)",
+        help="backend (default: f64 when the conditioning bound allows it, verified to "
+        "residual 1e-8 and recomputed in hp if it fails; hp otherwise)",
     )
     p.add_argument("--out", choices=["json", "csv"], default="json")
     p.add_argument("--output", default=None, help="path (default: stdout)")

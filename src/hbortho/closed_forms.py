@@ -31,6 +31,9 @@ from .symbol import CompositionOrderError, PoleTerm, SmirnovSymbol, SymbolLike, 
 #: tolerance scale for the algebraic relation conj(A) B = -(1+|A|^2)
 RELATION_TOL = 1e-12
 
+#: |<z^j, z^k>| above which ``monomial_orthogonality_witness`` counts a pair
+WITNESS_TOL = 1e-9
+
 
 class PreconditionViolated(ValueError):
     """A closed-form constructor was called outside its validity region."""
@@ -131,12 +134,11 @@ def compose_basis(base: OrthoBasis, N: int) -> OrthoBasis:
         return base
     polys = []
     for l, p in enumerate(base.polys):
-        for i in range(N):
+        for i in range(N):  # degrees N l + i come in increasing order
             deg = N * l + i
             coeffs = np.zeros(deg + 1, dtype=complex)
             coeffs[np.arange(l + 1) * N + i] = p.coefficients
-            polys.append((deg, OrthoPoly(deg, coeffs)))
-    polys.sort(key=lambda item: item[0])
+            polys.append(OrthoPoly(deg, coeffs))
     if isinstance(base.symbol, SmirnovSymbol):
         try:
             new_symbol: SymbolLike = compose_monomial(base.symbol, N)
@@ -144,9 +146,7 @@ def compose_basis(base: OrthoBasis, N: int) -> OrthoBasis:
             new_symbol = base.symbol.stream().composed_monomial(N)
     else:
         new_symbol = base.symbol.composed_monomial(N)
-    return OrthoBasis(
-        tuple(p for _, p in polys), new_symbol, base.precision, base.residual
-    )
+    return OrthoBasis(tuple(polys), new_symbol, base.precision, base.residual)
 
 
 # ---------------------------------------------------------------------------
@@ -221,10 +221,8 @@ def fm_norm_b(n: int) -> float:
     return math.sqrt(direct)
 
 
-def monomial_orthogonality_witness(
-    phi: SymbolLike, bound: int, tol: float = 1e-9
-) -> tuple[int, int] | None:
-    """Smallest (j, k), j < k <= bound, with <z^j, z^k> != 0.
+def monomial_orthogonality_witness(phi: SymbolLike, bound: int) -> tuple[int, int] | None:
+    """Smallest (j, k), j < k <= bound, with |<z^j, z^k>| > ``WITNESS_TOL``.
 
     Monomials can only be mutually orthogonal when the space is the plain
     Hardy space, so for any nontrivial symbol a witness pair exists; ``None``
@@ -232,8 +230,6 @@ def monomial_orthogonality_witness(
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    for j in range(bound):
-        for k in range(j + 1, bound + 1):
-            if abs(gram_mod.monomial_inner(phi, j, k)) > tol:
-                return (j, k)
-    return None
+    above = np.triu(np.abs(gram_mod.gram_matrix(phi, bound)) > WITNESS_TOL, 1)
+    pairs = np.argwhere(above)  # row-major: smallest j, then smallest k
+    return (int(pairs[0, 0]), int(pairs[0, 1])) if len(pairs) else None

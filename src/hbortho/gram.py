@@ -14,7 +14,6 @@ symbol Toeplitz action.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import toeplitz
@@ -24,44 +23,12 @@ from .catalog import CatalogEntry
 from .symbol import SmirnovSymbol, SymbolLike
 
 
-def monomial_inner(phi: SymbolLike, j: int, k: int) -> complex:
-    """<z^j, z^k> in H(b) for the given symbol."""
-    if j < 0 or k < 0:
-        raise ValueError("monomial exponents must be >= 0")
-    if j > k:
-        return complex(np.conj(monomial_inner(phi, k, j)))
-    coeffs = phi.taylor(k + 1)
-    value = np.dot(np.conj(coeffs[: j + 1]), coeffs[k - j : k + 1])
-    if j == k:
-        value += 1.0
-    return complex(value)
-
-
-@dataclass(frozen=True)
-class GramMatrix:
-    """Hermitian positive-definite matrix of monomial inner products."""
-
-    entries: np.ndarray  # (n+1, n+1) complex128, entries[j, k] = <z^j, z^k>
-    symbol: SymbolLike
-
-    @property
-    def size(self) -> int:
-        return self.entries.shape[0]
-
-    def system_matrix(self) -> np.ndarray:
-        """Matrix of the orthogonality equations: row k is <., z^k>.
-
-        Row k, column j holds <z^j, z^k>, i.e. the transpose (= conjugate,
-        by Hermitian symmetry) of ``entries``.
-        """
-        return np.conj(self.entries)
-
-
-def gram_matrix(phi: SymbolLike, n: int) -> GramMatrix:
-    """Assemble the (n+1) x (n+1) Gram matrix of z^0 .. z^n."""
+def gram_matrix(phi: SymbolLike, n: int) -> np.ndarray:
+    """The (n+1) x (n+1) Gram matrix of z^0 .. z^n, entry [j, k] = <z^j, z^k>; its
+    conjugate (= transpose) is the matrix of the orthogonality equations <., z^k>."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return GramMatrix(gram_entries(np.asarray(phi.taylor(n + 1), dtype=complex)), phi)
+    return gram_entries(np.asarray(phi.taylor(n + 1), dtype=complex))
 
 
 def gram_entries(coeffs: np.ndarray) -> np.ndarray:

@@ -31,7 +31,7 @@ from scipy.linalg import solve_triangular
 from scipy.linalg.blas import ztpsv
 
 from . import gram as gram_mod
-from .backends import AUTO_F64_TOL, auto_precision, cond_bound, requested_precision, workprec
+from .backends import AUTO_F64_TOL, F64_EPS, VALID_TAGS, cond_bound, workprec
 from .symbol import SmirnovSymbol, SymbolLike, rotate_symbol
 
 #: relative pivot threshold that flags a double-precision factorization as unusable
@@ -72,9 +72,8 @@ class OrthoBasis:
 def orthopoly(phi: SymbolLike, n: int, precision: str | None = None) -> OrthoPoly:
     """Orthonormal polynomial of exact degree n for the symbol ``phi``.
 
-    ``precision`` (or ``HB_PRECISION``) "f64" or "hp" picks the backend; with
-    neither, the conditioning picks it and an f64 result is verified (see
-    ``backends``).
+    ``precision`` "f64" or "hp" picks the backend; without it the
+    conditioning picks it and an f64 result is verified (see ``backends``).
     """
     return _solve(phi, n, precision, _orthopoly_f64, _orthopoly_hp)
 
@@ -82,29 +81,23 @@ def orthopoly(phi: SymbolLike, n: int, precision: str | None = None) -> OrthoPol
 def _solve(phi: SymbolLike, n: int, precision: str | None, f64_route, hp_route):
     """Run one request on the backend that ``precision`` selects.
 
-    A requested backend runs as asked, except that an f64 breakdown on a
-    ``SmirnovSymbol`` falls back to hp when the request came from
-    ``HB_PRECISION``.  An automatic request runs in f64 when ``cond_bound``
-    allows it and keeps the result only if its residual (a basis's own, else
-    ``gram.system_residual``) is at most ``AUTO_F64_TOL``; otherwise it runs
-    in hp.  A raw stream, which the hp path cannot serve, always tries f64
-    and raises ``NumericalBreakdown`` if the result fails.
+    A requested backend runs as asked.  An automatic request runs in f64 when
+    ``cond_bound`` allows it and keeps the result only if its residual (a
+    basis's own, else ``gram.system_residual``) is at most ``AUTO_F64_TOL``;
+    otherwise it runs in hp.  A raw stream, which the hp path cannot serve,
+    always tries f64 and raises ``NumericalBreakdown`` if the result fails.
     """
     if n < 0:
         raise ValueError("degree must be >= 0")
-    tag = requested_precision(precision)
-    if tag == "hp":
+    if precision == "hp":
         return hp_route(phi, n)
+    if precision == "f64":
+        return f64_route(phi, n)
+    if precision is not None:
+        raise ValueError(f"unknown precision tag {precision!r}; expected one of {VALID_TAGS}")
     escalates = isinstance(phi, SmirnovSymbol)
-    if tag == "f64":
-        try:
-            return f64_route(phi, n)
-        except NumericalBreakdown:
-            if precision is not None or not escalates:
-                raise
-            return hp_route(phi, n)
     bound = cond_bound(phi, n)
-    if escalates and auto_precision(bound) == "hp":
+    if escalates and not F64_EPS * bound <= AUTO_F64_TOL:  # a NaN bound goes to hp
         return hp_route(phi, n)
     try:
         result = f64_route(phi, n)

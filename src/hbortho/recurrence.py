@@ -52,6 +52,9 @@ EPS_CASE = 1e-9
 #: ratios in (EPS_CASE, BOUNDARY_BAND) are ambiguous; defer to the oracle there
 BOUNDARY_BAND = 1e-6
 
+#: largest deviation of the replayed reduction, relative to its magnitude scale
+REPLAY_TOL = 1e-9
+
 CASE_DEGENERATE = "degenerate-linear"
 CASE_SIMPLE = "simple-roots"
 CASE_DOUBLE = "double-root"
@@ -325,7 +328,7 @@ def recurrence_residual(data: RecurrenceData, coeffs: np.ndarray) -> float:
 # Row-reduction replay
 # ---------------------------------------------------------------------------
 
-def reduced_matrix_check(A: complex, B: complex, n: int, tol: float = 1e-9) -> bool:
+def reduced_matrix_check(A: complex, B: complex, n: int) -> bool:
     """Replay the elementary row reduction and compare with the closed pattern.
 
     Assembles the augmented orthogonality system for p_n (rows are the
@@ -340,14 +343,13 @@ def reduced_matrix_check(A: complex, B: complex, n: int, tol: float = 1e-9) -> b
     and checks the result entrywise: banded rows (t0, t1-t0, conj(t0)) with
     zero elsewhere, the two boundary rows, and the aggregated last row
     (t3, t4, 0, ..., 0).  Returns False (with a logged diagnostic) on any
-    deviation above ``tol`` times the magnitude scale of the reduced matrix.
+    deviation above ``REPLAY_TOL`` times the magnitude scale of the reduced matrix.
     """
     if n < 4:
         raise ValueError("the replay needs n >= 4")
     data = build_recurrence(A, B)
     phi = RationalABForm(data.A, data.B).symbol()
-    m = gram_matrix(phi, n)
-    sys = np.conj(m.entries)  # row k = equation <p_n, z^k>
+    sys = np.conj(gram_matrix(phi, n))  # row k = equation <p_n, z^k>
     aug = np.zeros(n + 1, dtype=complex)
     aug[n] = 1.0  # coefficient of t
     r = np.hstack([sys, aug[:, None]])
@@ -372,7 +374,7 @@ def reduced_matrix_check(A: complex, B: complex, n: int, tol: float = 1e-9) -> b
     scale = float(np.max(np.abs(r)))
     deviation = np.abs(r - expected)
     worst = float(deviation.max())
-    if not worst <= tol * scale:  # NaN fails
+    if not worst <= REPLAY_TOL * scale:  # NaN fails
         i, j = np.unravel_index(int(deviation.argmax()), deviation.shape)
         log.warning(
             "reduction replay mismatch for A=%s B=%s n=%d: entry (%d, %d) "

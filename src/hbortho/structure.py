@@ -45,26 +45,23 @@ DETECT_TOL = 1e-9
 #: calibration padding: structure is checked at degree 4m + CALIBRATION_PAD
 CALIBRATION_PAD = 8
 
+#: largest gap between the dense and structured p_n that ``bench_solvers`` accepts
+AGREEMENT_TOL = 1e-7
+
 
 class StructureRefuted(ArithmeticError):
     """Calibration failed: the banded-plus-low-rank pattern does not hold."""
 
 
-def apply_shift_reduction(mat, d: int) -> np.ndarray:
-    """(I - B)^d applied on the left, via d elementary difference passes.
-
-    ``mat`` may be a GramMatrix (its equation-system matrix is used) or any
-    2-d array.  Repeated passes are numerically preferable to the explicit
-    binomial-weighted combination once d grows.
-    """
-    if isinstance(mat, gram_mod.GramMatrix):
-        out = mat.system_matrix()
-    else:
-        out = np.array(mat, dtype=complex)
+def apply_shift_reduction(mat: np.ndarray, d: int) -> np.ndarray:
+    """(I - B)^d applied on the left of a copy of ``mat``, via d elementary
+    difference passes, which are numerically preferable to the explicit
+    binomial-weighted combination once d grows."""
+    out = np.array(mat, dtype=complex)
     if d < 0 or d > out.shape[0] - 1:
         raise ValueError("d must satisfy 0 <= d <= n")
     for _ in range(d):
-        out = np.vstack([out[:-1] - out[1:], out[-1:]])
+        out[:-1] -= out[1:]  # numpy buffers the overlap: each row minus the old next row
     return out
 
 
@@ -163,7 +160,7 @@ def detect_structure(phi: SmirnovSymbol, n: int) -> StructureReport:
     if n < 4 * m + 2:
         raise ValueError(f"need n >= {4 * m + 2} for pole order {m}")
     d = 2 * m
-    reduced = apply_shift_reduction(gram_mod.gram_matrix(phi, n), d)
+    reduced = apply_shift_reduction(np.conj(gram_mod.gram_matrix(phi, n)), d)
     n1 = n + 1
     conforming = n1 - (d + 1)  # rows 0 .. n-2m-1
     scale = float(np.max(np.abs(reduced)))
@@ -226,9 +223,7 @@ def detect_structure(phi: SmirnovSymbol, n: int) -> StructureReport:
 # structured solver
 # ---------------------------------------------------------------------------
 
-def structured_solve(
-    phi: SmirnovSymbol, n: int, calibration: StructureReport | None = None
-) -> OrthoPoly:
+def structured_solve(phi: SmirnovSymbol, n: int) -> OrthoPoly:
     """Degree-n orthonormal polynomial through one banded Cholesky factorization.
 
     Pipeline: calibrate the reduced band at size 4m + CALIBRATION_PAD, whatever
@@ -250,8 +245,7 @@ def structured_solve(
     m = _pole_order_at_one(phi)
     if n < 0:
         raise ValueError("degree n must be >= 0")
-    if calibration is None:
-        calibration = detect_structure(phi, 4 * m + CALIBRATION_PAD)
+    calibration = detect_structure(phi, 4 * m + CALIBRATION_PAD)
     if not calibration.confirmed:
         raise StructureRefuted(calibration.summary())
 
@@ -284,11 +278,11 @@ def structured_solve(
     return poly
 
 
-def bench_solvers(phi: SmirnovSymbol, sizes, agreement_tol: float = 1e-7, repeats: int = 1):
+def bench_solvers(phi: SmirnovSymbol, sizes, repeats: int = 1):
     """Wall-time and residual comparison of the dense oracle vs structured path.
 
     Returns one record per size; raises if the two solutions disagree beyond
-    ``agreement_tol`` where both run.  Timings cover assembly plus solve for
+    ``AGREEMENT_TOL`` where both run.  Timings cover assembly plus solve for
     each path (calibration included on the structured side); with
     ``repeats > 1`` the best of the repeats is reported for each side.
     """
@@ -307,9 +301,9 @@ def bench_solvers(phi: SmirnovSymbol, sizes, agreement_tol: float = 1e-7, repeat
             t_fast = min(t_fast, time.perf_counter() - t0)
 
         diff = float(np.max(np.abs(dense.coefficients - fast.coefficients)))
-        if not diff <= agreement_tol:  # NaN fails
+        if not diff <= AGREEMENT_TOL:  # NaN fails
             raise ArithmeticError(
-                f"solver disagreement {diff:.3e} at n={n} exceeds {agreement_tol}"
+                f"solver disagreement {diff:.3e} at n={n} exceeds {AGREEMENT_TOL}"
             )
         records.append(
             {

@@ -57,7 +57,7 @@ class SmirnovSymbol:
         seen = set()
         for t in self.pole_terms:
             pole = complex(t.pole)
-            if abs(abs(pole) - 1.0) > POLE_MODULUS_TOL:
+            if not abs(abs(pole) - 1.0) <= POLE_MODULUS_TOL:  # NaN fails
                 raise SymbolError(f"pole {pole} is not on the unit circle")
             if t.order < 1:
                 raise SymbolError(f"pole order must be >= 1, got {t.order}")
@@ -156,11 +156,6 @@ class TaylorStream:
 SymbolLike = SmirnovSymbol | TaylorStream
 
 
-def taylor_coefficients(phi: SymbolLike, count: int) -> np.ndarray:
-    """First ``count`` Taylor coefficients of ``phi`` (symbol or stream)."""
-    return phi.taylor(count)
-
-
 def rotate_symbol(phi: SmirnovSymbol, gamma: float) -> SmirnovSymbol:
     """Symbol of z -> phi(e^{i gamma} z).
 
@@ -227,9 +222,12 @@ def parse_complex(text: str) -> complex:
     if not s:
         raise SymbolError("empty complex literal")
     try:
-        return complex(s.replace("i", "j"))
+        z = complex(s.replace("i", "j"))
     except ValueError as exc:
         raise SymbolError(f"cannot parse complex number {text!r}") from exc
+    if not cmath.isfinite(z):
+        raise SymbolError(f"complex number {text!r} is not finite")
+    return z
 
 
 def format_complex(z: complex) -> str:

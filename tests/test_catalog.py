@@ -65,7 +65,7 @@ def test_rational_function_eval():
 
 def test_entries_are_pythagorean(entries):
     for entry in entries:
-        worst = validate_entry(entry, samples=64, tol=1e-10)
+        worst = validate_entry(entry)
         assert worst <= 1e-10
 
 

@@ -2,13 +2,16 @@ import argparse
 import json
 import re
 import shlex
+import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
 from hbortho import OrthoBasis, OrthoPoly, orthobasis, parse_symbol
-from hbortho import cli
+from hbortho import cli, recurrence
+from hbortho.backends import workprec
 from hbortho.cli import _basis_json, build_parser, main
 
 
@@ -199,6 +202,28 @@ class TestRecurrenceCommand:
         payload = json.loads(out)
         assert payload["verify"]["oracle_max_diff"] < 1e-10
 
+    def test_hp_verified_in_hp(self, capsys):
+        argv = ["recurrence", "--A", "0.3", "--B", "1.2", "--n", "20", "--precision", "hp", "--verify"]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert json.loads(out)["verify"]["oracle_max_diff"] < 1e-40
+
+    def test_hp_verify_catches_hp_error(self, capsys, monkeypatch):
+        # an error of 1e-30 is invisible in float64 and must fail the hp check
+        real = recurrence.coefficients_via_recurrence
+
+        def off(data, n, precision):
+            poly = real(data, n, precision=precision)
+            with workprec():
+                hp = tuple(c + mpmath.mpf("1e-30") for c in poly.hp_coefficients)
+            return OrthoPoly(n, poly.coefficients, hp_coefficients=hp)
+
+        monkeypatch.setattr(recurrence, "coefficients_via_recurrence", off)
+        argv = ["recurrence", "--A", "0.3", "--B", "1.2", "--n", "20", "--precision", "hp", "--verify"]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 1
+        assert 1e-31 < json.loads(out)["verify"]["oracle_max_diff"] < 1e-29
+
     def test_boundary_band_reports_failure(self, capsys):
         code, out, _ = run_cli(
             capsys, ["recurrence", "--A", "2", "--B", "0.001", "--n", "8"]
@@ -364,6 +389,25 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["basis", "--n", "3"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["basis", "--symbol", "0;(1,nan,1)", "--n", "8"],
+            ["basis", "--symbol", "0;(nan,1,1)", "--n", "8"],
+            ["basis", "--symbol", "nan;(1,1,1)", "--n", "8"],
+            ["structure", "--symbol", "0;(1,nan,1)", "--n", "12"],
+            ["recurrence", "--A", "nan", "--B", "1", "--n", "6"],
+            ["recurrence", "--A", "0", "--B", "1e400", "--n", "6"],
+        ],
+        ids=lambda argv: " ".join(argv[:3]),
+    )
+    def test_non_finite_input(self, capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "not finite" in err
 
     def test_bad_symbol_text(self, capsys):
         code, _, err = run_cli(capsys, ["basis", "--symbol", "zzz", "--n", "3"])

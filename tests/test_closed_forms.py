@@ -166,6 +166,16 @@ class TestComposeBasis:
         composed = compose_basis(base, 3)
         assert [p.degree for p in composed.polys] == list(range(18))
 
+    def test_higher_order_pole_composes_as_stream(self):
+        # an order-2 pole has no partial-fraction composition, so the symbol
+        # of the transported basis is the re-indexed Taylor stream
+        phi = SmirnovSymbol(1.0, (PoleTerm(1.0, 1, 1.0), PoleTerm(-1.0, 2, 0.5)))
+        composed = compose_basis(orthobasis(phi, 10, precision="f64"), 3)
+        assert isinstance(composed.symbol, TaylorStream)
+        assert np.array_equal(composed.symbol.taylor(31)[::3], phi.taylor(11))
+        polys = [p.coefficients for p in composed.polys]
+        assert orthonormality_defect(composed.symbol, polys) <= 1e-12
+
 
 class TestDirichletFamily:
     def test_q0(self):

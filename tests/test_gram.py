@@ -17,7 +17,6 @@ from hbortho import (
     gram_matrix,
     hb_norm_squared,
     kernel_truncation_check,
-    monomial_inner,
     poly_inner,
     sarason_symbol,
     structured_solve,
@@ -39,8 +38,8 @@ def quadratic_form(gm, p, q=None):
     """<p, q> evaluated through the Gram matrix; q defaults to p."""
     if q is None:
         q = p
-    pv, qv = (np.pad(np.asarray(v, dtype=complex), (0, gm.size - len(v))) for v in (p, q))
-    return complex(pv @ (gm.entries @ np.conj(qv)))
+    pv, qv = (np.pad(np.asarray(v, dtype=complex), (0, gm.shape[0] - len(v))) for v in (p, q))
+    return complex(pv @ (gm @ np.conj(qv)))
 
 
 def brute_inner(phi, j, k):
@@ -57,15 +56,15 @@ def brute_inner(phi, j, k):
 class TestMonomialInner:
     def test_half_sum_values(self):
         phi = sarason_symbol()
-        assert abs(monomial_inner(phi, 0, 0) - 2) < 1e-14
-        assert abs(monomial_inner(phi, 0, 1) - 2) < 1e-14
-        assert abs(monomial_inner(phi, 1, 1) - 6) < 1e-14
+        assert abs(gram_matrix(phi, 0)[0, 0] - 2) < 1e-14
+        assert abs(gram_matrix(phi, 1)[0, 1] - 2) < 1e-14
+        assert abs(gram_matrix(phi, 1)[1, 1] - 6) < 1e-14
 
     def test_zero_symbol(self):
         phi = SmirnovSymbol()
         for j in range(4):
             for k in range(4):
-                assert monomial_inner(phi, j, k) == (1.0 if j == k else 0.0)
+                assert gram_matrix(phi, max(j, k))[j, k] == (1.0 if j == k else 0.0)
 
     def test_single_pole_off_diagonal_formula(self):
         # j < k: conj(A) B + |B|^2 (1+j), independent of k
@@ -76,42 +75,41 @@ class TestMonomialInner:
         for j in range(5):
             for k in range(j + 1, 8):
                 expected = np.conj(A) * B + abs(B) ** 2 * (1 + j)
-                assert abs(monomial_inner(phi, j, k) - expected) < 1e-12
+                assert abs(gram_matrix(phi, max(j, k))[j, k] - expected) < 1e-12
 
     def test_hermitian_pair(self):
         phi = SmirnovSymbol(0.5j, (PoleTerm(1j, 1, 1.0 - 0.3j),))
         assert abs(
-            monomial_inner(phi, 2, 5) - np.conj(monomial_inner(phi, 5, 2))
+            gram_matrix(phi, 5)[2, 5] - np.conj(gram_matrix(phi, 5)[5, 2])
         ) < 1e-14
 
     def test_against_brute_force(self):
         phi = SmirnovSymbol(0.1 - 0.2j, (PoleTerm(-1.0, 2, 0.7j), PoleTerm(1.0, 1, 1.0)))
         for j in range(6):
             for k in range(6):
-                assert abs(monomial_inner(phi, j, k) - brute_inner(phi, j, k)) < 1e-12
+                assert abs(gram_matrix(phi, max(j, k))[j, k] - brute_inner(phi, j, k)) < 1e-12
 
 
 class TestGramMatrix:
     def test_zero_symbol_identity(self):
         gm = gram_matrix(SmirnovSymbol(), 3)
-        assert np.allclose(gm.entries, np.eye(4))
+        assert np.allclose(gm, np.eye(4))
 
     def test_half_sum_two_by_two(self):
         gm = gram_matrix(sarason_symbol(), 1)
-        assert np.allclose(gm.entries, [[2, 2], [2, 6]])
+        assert np.allclose(gm, [[2, 2], [2, 6]])
 
     def test_matches_entrywise(self):
         phi = SmirnovSymbol(0.4, (PoleTerm(1j, 2, 0.8 - 0.1j),))
         gm = gram_matrix(phi, 10)
         for j in range(11):
             for k in range(11):
-                assert abs(gm.entries[j, k] - monomial_inner(phi, j, k)) < 1e-12
+                assert abs(gm[j, k] - brute_inner(phi, j, k)) < 1e-12
 
     def test_row_shift_identity(self):
         # single simple pole at 1: <z^j, z^{k+1}> = <z^j, z^k> for j < k
         phi = SmirnovSymbol(1.5 - 0.5j, (PoleTerm(1.0, 1, -0.7 + 0.2j),))
-        gm = gram_matrix(phi, 65)
-        m = gm.entries
+        m = gram_matrix(phi, 65)
         for j in range(0, 64):
             for k in range(j + 1, 65):
                 assert abs(m[j, k + 1] - m[j, k]) < 1e-11
@@ -120,10 +118,10 @@ class TestGramMatrix:
     def test_hermitian_positive_definite(self, entries, n):
         for entry in entries:
             gm = gram_matrix(entry.phi, n)
-            assert np.allclose(gm.entries, np.conj(gm.entries.T))
-            pivots = np.real(np.diag(np.linalg.cholesky(gm.entries))) ** 2
+            assert np.allclose(gm, np.conj(gm.T))
+            pivots = np.real(np.diag(np.linalg.cholesky(gm))) ** 2
             assert pivots.min() > 0
-            assert np.all(np.real(np.diag(gm.entries)) >= 1.0 - 1e-12)
+            assert np.all(np.real(np.diag(gm)) >= 1.0 - 1e-12)
 
     def test_quadratic_form_consistency(self, entries):
         rng = np.random.default_rng(11)
@@ -155,7 +153,7 @@ class TestSchurFactor:
         rng = np.random.default_rng(n)
         symbols = [e.phi for e in entries] + [random_pole_symbol(rng) for _ in range(60)]
         for phi in symbols:
-            ref = np.linalg.cholesky(gram_matrix(phi, n).entries)
+            ref = np.linalg.cholesky(gram_matrix(phi, n))
             got = unpack_lower(schur_factor(phi.taylor(n + 1)))
             assert np.all(np.diag(got).imag == 0) and np.all(np.diag(got).real > 0)
             err = np.max(np.abs(got - ref))
@@ -320,7 +318,7 @@ class TestMonomialStreamEdge:
         stream = TaylorStream(lambda n: 0.3 if n == 2 else 0.0, label="0.3 z^2")
         for j in range(5):
             for k in range(j + 1, 6):
-                assert abs(monomial_inner(stream, j, k)) < 1e-15
+                assert abs(gram_matrix(stream, max(j, k))[j, k]) < 1e-15
 
 
 def direct_residual(phi, c):

@@ -18,8 +18,8 @@ from hbortho import (
     parse_symbol,
     rotate_symbol,
     sarason_symbol,
-    taylor_coefficients,
 )
+from hbortho.symbol import parse_complex
 
 
 def single_pole(A, B, zeta=1.0, order=1):
@@ -37,15 +37,15 @@ small_complex = st.complex_numbers(
 class TestTaylor:
     def test_half_sum_quotient(self):
         # phi = -1 + 2/(1-z): phi_0 = 1, phi_n = 2 afterwards
-        assert np.allclose(taylor_coefficients(sarason_symbol(), 3), [1, 2, 2])
+        assert np.allclose(sarason_symbol().taylor(3), [1, 2, 2])
 
     def test_constant(self):
-        assert np.allclose(taylor_coefficients(SmirnovSymbol(0.5), 3), [0.5, 0, 0])
+        assert np.allclose(SmirnovSymbol(0.5).taylor(3), [0.5, 0, 0])
 
     def test_double_pole(self):
         # 1/(1-z)^2 = sum (n+1) z^n
         phi = single_pole(0.0, 1.0, order=2)
-        assert np.allclose(taylor_coefficients(phi, 4), [1, 2, 3, 4])
+        assert np.allclose(phi.taylor(4), [1, 2, 3, 4])
 
     def test_matches_scalar_path(self):
         phi = SmirnovSymbol(
@@ -83,6 +83,10 @@ class TestValidation:
     def test_same_pole_different_orders_allowed(self):
         phi = SmirnovSymbol(0.0, (PoleTerm(1.0, 1, 1.0), PoleTerm(1.0, 2, 2.0)))
         assert len(phi.pole_terms) == 2
+
+    def test_nan_pole(self):
+        with pytest.raises(SymbolError, match="unit circle"):
+            single_pole(0.0, 1.0, zeta=complex("nan"))
 
 
 class TestRotation:
@@ -216,6 +220,16 @@ class TestTextFormat:
             parse_symbol("0;(1,1)")
         with pytest.raises(SymbolError):
             parse_symbol("")
+
+    @pytest.mark.parametrize("text", ["0;(1,nan,1)", "0;(nan,1,1)", "nan;(1,1,1)", "0;(1e400,1,1)"])
+    def test_parse_rejects_non_finite(self, text):
+        with pytest.raises(SymbolError, match="not finite"):
+            parse_symbol(text)
+
+    @pytest.mark.parametrize("text", ["1e400", "-1e400", "nan", "1+1e400i"])
+    def test_complex_rejects_non_finite(self, text):
+        with pytest.raises(SymbolError, match="not finite"):
+            parse_complex(text)
 
     def test_complex_with_i_suffix(self):
         phi = parse_symbol("0.5-0.5i;(1,0+1i,1)")
