@@ -137,11 +137,12 @@ def validate_entry(entry: CatalogEntry) -> float:
 
     Raises if the deviation exceeds ``VALIDATE_TOL`` or a(0) is not real positive.
     """
-    worst = 0.0
+    deviations = []
     for k in range(VALIDATE_SAMPLES):
         z = np.exp(2j * np.pi * k / VALIDATE_SAMPLES)
-        worst = max(worst, abs(abs(entry.a(z)) ** 2 + abs(entry.b(z)) ** 2 - 1.0))
-    if worst > VALIDATE_TOL:
+        deviations.append(abs(abs(entry.a(z)) ** 2 + abs(entry.b(z)) ** 2 - 1.0))
+    worst = float(np.max(deviations))  # np.max keeps a NaN sample, where max() can drop it
+    if not worst <= VALIDATE_TOL:  # NaN fails
         raise ValueError(f"{entry.name}: |a|^2+|b|^2 deviates from 1 by {worst:.3e}")
     a0 = entry.a(0.0)
     if not (abs(a0.imag) < 1e-14 and a0.real > 0):

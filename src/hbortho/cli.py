@@ -9,6 +9,7 @@ JSON is the canonical output format (complex numbers as {"re": ..., "im":
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -145,19 +146,9 @@ def _cmd_structure(args) -> int:
     if args.report == "text":
         _write_text(report.summary() + "\n", args.output)
     else:
-        payload = {
-            "pole_order": report.pole_order,
-            "reduction_power": report.reduction_power,
-            "n": report.size,
-            "band_width": report.band_width,
-            "low_rank_rows": report.low_rank_rows,
-            "low_rank_rank": report.low_rank_rank,
-            "diagonal_degrees": list(report.diagonal_degrees),
-            "residual": report.residual,
-            "scale": report.scale,
-            "confirmed": report.confirmed,
-        }
-        _dump(payload, args.output)
+        fields = dataclasses.asdict(report)
+        del fields["diagonal_tables"]
+        _dump({"n" if k == "size" else k: v for k, v in fields.items()}, args.output)
     return 0
 
 
@@ -174,14 +165,12 @@ def _cmd_bench(args) -> int:
 
 
 def _closed_form_tag(entry) -> str:
-    if closed_forms.detect_rational_ab(entry.phi) is not None:
+    form = closed_forms._simple_pole_at_one(entry.phi)
+    if form is not None and form.satisfies_theorem:
         return "shifted-monomial family"
     if "N" in entry.parameters and entry.parameters["N"] > 1:
         return "composed shifted-monomial family"
-    terms = entry.phi.pole_terms
-    if len(terms) == 1 and terms[0].order == 1 and abs(terms[0].pole - 1) < 1e-12:
-        return "three-term recurrence"
-    return "oracle only"
+    return "oracle only" if form is None else "three-term recurrence"
 
 
 def _cmd_catalog(args) -> int:
@@ -321,52 +310,45 @@ def build_parser() -> argparse.ArgumentParser:
         description="Orthonormal polynomial bases of H(b) spaces with rational symbols",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", default=None, help="path (default: stdout)")
+    symbol_n = argparse.ArgumentParser(add_help=False, parents=[output])
+    symbol_n.add_argument("--symbol", required=True, help='symbol text, e.g. "-1;(2,1,1)"')
+    symbol_n.add_argument("--n", type=int, required=True)
 
-    p = sub.add_parser("basis", help="orthonormal basis via the dense oracle")
-    p.add_argument("--symbol", required=True, help='symbol text, e.g. "-1;(2,1,1)"')
-    p.add_argument("--n", type=int, required=True)
+    p = sub.add_parser("basis", parents=[symbol_n], help="orthonormal basis via the dense oracle")
     p.add_argument(
         "--precision", choices=["f64", "hp"], default=None,
         help="backend (default: f64 when the conditioning bound allows it, verified to "
         "residual 1e-8 and recomputed in hp if it fails; hp otherwise)",
     )
     p.add_argument("--out", choices=["json", "csv"], default="json")
-    p.add_argument("--output", default=None, help="path (default: stdout)")
     p.set_defaults(fn=_cmd_basis)
 
-    p = sub.add_parser("gram", help="Gram matrix of monomial inner products")
-    p.add_argument("--symbol", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p = sub.add_parser("gram", parents=[symbol_n], help="Gram matrix of monomial inner products")
     p.add_argument("--out", choices=["json", "csv"], default="json")
-    p.add_argument("--output", default=None)
     p.set_defaults(fn=_cmd_gram)
 
-    p = sub.add_parser("recurrence", help="closed-form solver for A + B/(1-z)")
+    p = sub.add_parser("recurrence", parents=[output], help="closed-form solver for A + B/(1-z)")
     p.add_argument("--A", required=True)
     p.add_argument("--B", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--precision", choices=["f64", "hp"], default="f64")
     p.add_argument("--verify", action="store_true")
-    p.add_argument("--output", default=None)
     p.set_defaults(fn=_cmd_recurrence)
 
-    p = sub.add_parser("structure", help="measure the reduced banded structure")
-    p.add_argument("--symbol", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p = sub.add_parser("structure", parents=[symbol_n], help="measure the reduced banded structure")
     p.add_argument("--report", choices=["json", "text"], default="json")
-    p.add_argument("--output", default=None)
     p.set_defaults(fn=_cmd_structure)
 
-    p = sub.add_parser("bench", help="dense vs structured solver timings")
+    p = sub.add_parser("bench", parents=[output], help="dense vs structured solver timings")
     p.add_argument("--symbol", required=True)
     p.add_argument("--sizes", required=True, help="comma separated, e.g. 64,256,1024")
-    p.add_argument("--repeats", type=int, default=1, help="best of this many timings")
+    p.add_argument("--repeats", type=int, default=1, help="best of this many timings (>= 1)")
     p.add_argument("--out", choices=["csv"], default="csv")
-    p.add_argument("--output", default=None)
     p.set_defaults(fn=_cmd_bench)
 
-    p = sub.add_parser("catalog", help="list built-in symbols and their closed forms")
-    p.add_argument("--output", default=None)
+    p = sub.add_parser("catalog", parents=[output], help="list built-in symbols and their closed forms")
     p.set_defaults(fn=_cmd_catalog)
 
     p = sub.add_parser("verify", help="run the full cross-check suite")

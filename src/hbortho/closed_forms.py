@@ -5,8 +5,8 @@ Covered families:
 * ``phi = A + B/(1-z)`` with ``conj(A) B = -(1 + |A|^2)``: the orthogonal
   family is 1, z-1, z(z-1), z^2(z-1), ... with norms sqrt(1 + 1/|A|^2) and
   |A| + 1/|A|.
-* ``b = (1 + z^N)/2``: monomials z^j/sqrt(2) below degree N, then shifted
-  copies of (z^N - 1)/2.
+* ``b = (1 + z^N)/2``: the ``b = (1+z)/2`` family transported by z -> z^N
+  (the invariance of H(b) under composition with z^N).
 * re-indexing transport of any basis under z -> z^N.
 
 Also included: the classical orthogonal family of the local Dirichlet space
@@ -17,14 +17,13 @@ Fibonacci numbers, used as an independent cross-check of the norm machinery.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import mpmath
 import numpy as np
 
 from . import gram as gram_mod
 from .backends import to_mpc, workprec
-from .catalog import power_symbol
 from .oracle import OrthoBasis, OrthoPoly
 from .symbol import CompositionOrderError, PoleTerm, SmirnovSymbol, SymbolLike, compose_monomial
 
@@ -61,19 +60,24 @@ class RationalABForm:
         return SmirnovSymbol(self.A, (PoleTerm(1.0, 1, self.B),))
 
 
+def _simple_pole_at_one(phi: SmirnovSymbol) -> RationalABForm | None:
+    """phi as A + B/(1-z) when its only pole term is simple and sits at 1."""
+    if len(phi.pole_terms) != 1:
+        return None
+    term = phi.pole_terms[0]
+    if term.order != 1 or abs(term.pole - 1.0) > 1e-12:
+        return None
+    return RationalABForm(phi.constant_term, term.coefficient)
+
+
 def detect_rational_ab(phi: SmirnovSymbol) -> RationalABForm | None:
     """Recognize symbols whose orthonormal family is the shifted-monomial one.
 
     Requires exactly one pole, simple, located at 1 (rotate the symbol first
     if its pole sits elsewhere), and the algebraic relation on (A, B).
     """
-    if len(phi.pole_terms) != 1:
-        return None
-    term = phi.pole_terms[0]
-    if term.order != 1 or abs(term.pole - 1.0) > 1e-12:
-        return None
-    form = RationalABForm(phi.constant_term, term.coefficient)
-    return form if form.satisfies_theorem else None
+    form = _simple_pole_at_one(phi)
+    return form if form is not None and form.satisfies_theorem else None
 
 
 def rational_ab_basis(form: RationalABForm, n: int) -> OrthoBasis:
@@ -103,23 +107,13 @@ def _shifted_monomials(form: RationalABForm, degrees, hp: bool) -> list[OrthoPol
 
 
 def power_basis(N: int, n: int) -> OrthoBasis:
-    """Orthonormal basis for b = (1 + z^N)/2 up to degree n.
-
-    Degrees below N are monomials over sqrt(2); degree Nk+i (k >= 1) is
-    z^{N(k-1)+i} (z^N - 1)/2.
-    """
+    """Orthonormal basis for b = (1 + z^N)/2 up to degree n: the basis of
+    b = (1+z)/2 transported by z -> z^N, so degrees below N are monomials over
+    sqrt(2) and degree Nk+i (k >= 1) is z^{N(k-1)+i} (z^N - 1)/2."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    polys = []
-    for d in range(n + 1):
-        coeffs = np.zeros(d + 1, dtype=complex)
-        if d < N:
-            coeffs[d] = 1.0 / math.sqrt(2.0)
-        else:
-            coeffs[d] = 0.5
-            coeffs[d - N] = -0.5
-        polys.append(OrthoPoly(d, coeffs))
-    return OrthoBasis(tuple(polys), power_symbol(N), "closed-form", 0.0)
+    composed = compose_basis(rational_ab_basis(RationalABForm(-1, 2), n // N), N)
+    return replace(composed, polys=composed.polys[: n + 1])
 
 
 def compose_basis(base: OrthoBasis, N: int) -> OrthoBasis:

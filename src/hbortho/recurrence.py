@@ -148,27 +148,25 @@ def build_recurrence(A: complex, B: complex) -> RecurrenceData:
     """Compute all reduction scalars for phi = A + B/(1-z) and classify."""
     A = complex(A)
     B = complex(B)
+    if not (cmath.isfinite(A) and cmath.isfinite(B)):
+        raise ValueError(f"A = {A} and B = {B} must be finite")
     if B == 0:
         raise ValueError("B must be nonzero")
-    rho, t0, t1, t2, t3, t4 = _scalars(A, B)
+    scalars = _scalars(A, B)
+    t0, t1 = scalars.t0, scalars.t1
     disc_c = (t1 - t0) ** 2 - 4.0 * t0 * np.conj(t0)
     disc = float(disc_c.real)  # imaginary part is roundoff: the middle coefficient is real
     scale_sq = (abs(t0) + abs(t1)) ** 2
     disc_ratio = abs(disc) / scale_sq if scale_sq > 0 else 0.0
 
+    roots = double_root = None
     if RationalABForm(A, B).satisfies_theorem:  # conj(t0) is the relation's left side
-        return RecurrenceData(
-            A, B, rho, t0, t1, t2, t3, t4, disc, disc_ratio, CASE_DEGENERATE, None, None
-        )
-    if disc_ratio <= EPS_CASE:
-        lam = t0 / abs(t0)
-        return RecurrenceData(
-            A, B, rho, t0, t1, t2, t3, t4, disc, disc_ratio, CASE_DOUBLE, None, lam
-        )
-    roots = _quadratic_roots(np.conj(t0), t1 - t0, t0, _F64)
-    return RecurrenceData(
-        A, B, rho, t0, t1, t2, t3, t4, disc, disc_ratio, CASE_SIMPLE, roots, None
-    )
+        case = CASE_DEGENERATE
+    elif disc_ratio <= EPS_CASE:
+        case, double_root = CASE_DOUBLE, t0 / abs(t0)
+    else:
+        case, roots = CASE_SIMPLE, _quadratic_roots(np.conj(t0), t1 - t0, t0, _F64)
+    return RecurrenceData(A, B, *scalars, disc, disc_ratio, case, roots, double_root)
 
 
 def _relation_is_exact(A: complex, B: complex) -> bool:
@@ -347,6 +345,9 @@ def reduced_matrix_check(A: complex, B: complex, n: int) -> bool:
     """
     if n < 4:
         raise ValueError("the replay needs n >= 4")
+    if not (cmath.isfinite(A) and cmath.isfinite(B)):
+        log.warning("reduction replay for A=%s B=%s: input is not finite", A, B)
+        return False
     data = build_recurrence(A, B)
     phi = RationalABForm(data.A, data.B).symbol()
     sys = np.conj(gram_matrix(phi, n))  # row k = equation <p_n, z^k>

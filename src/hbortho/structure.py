@@ -286,6 +286,8 @@ def bench_solvers(phi: SmirnovSymbol, sizes, repeats: int = 1):
     each path (calibration included on the structured side); with
     ``repeats > 1`` the best of the repeats is reported for each side.
     """
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
     records = []
     for n in sizes:
         t_dense = float("inf")

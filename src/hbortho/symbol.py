@@ -53,6 +53,8 @@ class SmirnovSymbol:
 
     def __post_init__(self):
         object.__setattr__(self, "constant_term", complex(self.constant_term))
+        if not cmath.isfinite(self.constant_term):
+            raise SymbolError(f"constant term {self.constant_term} is not finite")
         terms = []
         seen = set()
         for t in self.pole_terms:
@@ -64,6 +66,8 @@ class SmirnovSymbol:
             coeff = complex(t.coefficient)
             if coeff == 0:
                 raise SymbolError("pole term with zero coefficient")
+            if not cmath.isfinite(coeff):
+                raise SymbolError(f"pole coefficient {coeff} is not finite")
             key = (pole, int(t.order))
             if key in seen:
                 raise SymbolError(f"duplicate pole term {key}")

@@ -3,7 +3,9 @@ import pytest
 
 from conftest import eval_symbol
 from hbortho import (
+    CatalogEntry,
     RationalFunction,
+    SmirnovSymbol,
     blaschke_entry,
     blaschke_symbol,
     power_entry,
@@ -61,6 +63,12 @@ def test_rational_function_eval():
     f = RationalFunction((0.5, 0.5), (1.0, -0.5))
     z = 0.2 + 0.1j
     assert abs(f(z) - (0.5 + 0.5 * z) / (1 - 0.5 * z)) < 1e-15
+
+
+def test_nan_entry_fails():
+    entry = CatalogEntry("x", RationalFunction((float("nan"),)), RationalFunction((1.0,)), SmirnovSymbol())
+    with pytest.raises(ValueError, match="deviates"):
+        validate_entry(entry)
 
 
 def test_entries_are_pythagorean(entries):

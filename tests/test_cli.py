@@ -313,6 +313,12 @@ class TestBenchCommand:
         assert seen == [{"repeats": 2}]
         assert len(out.strip().splitlines()) == 2
 
+    def test_zero_repeats_is_usage_error(self, capsys):
+        argv = ["bench", "--symbol", "0;(1,1,1)", "--sizes", "16", "--repeats", "0"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "repeats" in err
+
     def test_no_sizes_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, ["bench", "--symbol", "0;(1,1,1)", "--sizes", ","])
         assert code == 2 and out == ""

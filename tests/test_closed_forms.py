@@ -31,6 +31,28 @@ from hbortho import (
 SQRT2 = math.sqrt(2.0)
 
 
+def hand_power_coefficients(N: int, n: int) -> list[np.ndarray]:
+    """Coefficients of the b = (1 + z^N)/2 basis written out by hand: degree
+    d < N is z^d/sqrt(2), degree d >= N is (z^d - z^{d-N})/2."""
+    out = []
+    for d in range(n + 1):
+        coeffs = np.zeros(d + 1, dtype=complex)
+        if d < N:
+            coeffs[d] = 1.0 / math.sqrt(2.0)
+        else:
+            coeffs[d] = 0.5
+            coeffs[d - N] = -0.5
+        out.append(coeffs)
+    return out
+
+
+def assert_bitwise_hand_power(basis, N: int):
+    reference = hand_power_coefficients(N, basis.degree)
+    assert [p.degree for p in basis.polys] == list(range(basis.degree + 1))
+    for p, ref in zip(basis.polys, reference, strict=True):
+        assert p.coefficients.tobytes() == ref.tobytes()
+
+
 class TestDetector:
     def test_half_sum_detected(self):
         form = detect_rational_ab(sarason_symbol())
@@ -115,6 +137,15 @@ class TestShiftedMonomialBasis:
 
 
 class TestPowerBasis:
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
+    def test_matches_hand_formula(self, N):
+        for n in range(41):
+            basis = power_basis(N, n)
+            assert basis.degree == n
+            assert_bitwise_hand_power(basis, N)
+            assert basis.symbol == power_symbol(N)
+            assert (basis.precision, basis.residual) == ("closed-form", 0.0)
+
     def test_n1_equals_base_family(self):
         assert (
             max_basis_diff(power_basis(1, 8), rational_ab_basis(RationalABForm(-1, 2), 8))
@@ -147,12 +178,11 @@ class TestComposeBasis:
         base = power_basis(1, 6)
         assert compose_basis(base, 1) is base
 
-    @pytest.mark.parametrize("N", [2, 3, 4])
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
     def test_base_family_gives_power_family(self, N):
-        base = rational_ab_basis(RationalABForm(-1.0, 2.0), 8)
-        composed = compose_basis(base, N)
-        target = power_basis(N, N * 8 + N - 1)
-        assert max_basis_diff(composed, target) < 1e-15
+        for degree in range(40 // N + 1):  # composed degrees up to 40 at least
+            base = rational_ab_basis(RationalABForm(-1.0, 2.0), degree)
+            assert_bitwise_hand_power(compose_basis(base, N), N)
 
     def test_oracle_cross_check(self):
         phi = SmirnovSymbol(0.0, (PoleTerm(1.0, 1, 1.0),))

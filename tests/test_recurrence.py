@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -119,6 +120,14 @@ class TestClassification:
     def test_b_zero_rejected(self):
         with pytest.raises(ValueError):
             build_recurrence(1.0, 0.0)
+
+    @pytest.mark.parametrize("A, B", [(complex("nan"), 1.0), (0.0, float("inf")), (float("-inf"), 1j)])
+    def test_non_finite_rejected(self, A, B):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                build_recurrence(A, B)
+            assert not reduced_matrix_check(A, B, 6)
 
 
 class TestCoefficients:

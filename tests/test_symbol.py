@@ -88,6 +88,12 @@ class TestValidation:
         with pytest.raises(SymbolError, match="unit circle"):
             single_pole(0.0, 1.0, zeta=complex("nan"))
 
+    @pytest.mark.parametrize("bad", [complex("nan"), complex("inf"), complex(1, float("-inf"))])
+    @pytest.mark.parametrize("where", ["constant", "coefficient"])
+    def test_non_finite_data(self, bad, where):
+        with pytest.raises(SymbolError, match="not finite"):
+            single_pole(bad, 1.0) if where == "constant" else single_pole(0.0, bad)
+
 
 class TestRotation:
     def test_moves_pole_to_one(self):
