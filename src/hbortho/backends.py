@@ -3,12 +3,11 @@
 * ``"f64"`` -- IEEE double precision through numpy/scipy, the fast path.
 * ``"hp"``  -- software floating point through mpmath, 160 bits of mantissa.
 
-"hp" runs the same code as "f64" wherever numpy allows it: the oracle's one
-Schur factorization of the Gram matrix (O(n^2), ``gram.schur_factor``, whose
-f64 rotations are BLAS calls and whose hp rotations are the same formulas in
-numpy expressions), the Gram assembly and the closed forms of the recurrence
-take their arithmetic from their numbers (complex128, or ``mpmath.mpc`` in
-object arrays), and ``solve_small`` solves border systems of any element type.
+"hp" runs the same code as "f64" wherever numpy allows it: the rational form
+and its band K (``gram.rational_form``, ``gram.k_band``) and the closed forms
+of the recurrence take their arithmetic from their numbers (complex128, or
+``mpmath.mpc`` in object arrays), and ``solve_small`` solves border systems of
+any element type.  The oracle's hp banded Cholesky of K is an mpmath loop.
 
 The caller's tag alone selects the backend.  Without one the request is
 *automatic* and its conditioning, not its degree, decides.  The Gram matrix

@@ -70,18 +70,21 @@ def _simple_pole_at_one(phi: SmirnovSymbol) -> RationalABForm | None:
     return RationalABForm(phi.constant_term, term.coefficient)
 
 
-def detect_rational_ab(phi: SmirnovSymbol) -> RationalABForm | None:
+def detect_rational_ab(phi: SymbolLike) -> RationalABForm | None:
     """Recognize symbols whose orthonormal family is the shifted-monomial one.
 
     Requires exactly one pole, simple, located at 1 (rotate the symbol first
-    if its pole sits elsewhere), and the algebraic relation on (A, B).
+    if its pole sits elsewhere), and the algebraic relation on (A, B); a
+    ``TaylorStream`` has no pole terms and gives None.
     """
-    form = _simple_pole_at_one(phi)
+    form = _simple_pole_at_one(phi) if isinstance(phi, SmirnovSymbol) else None
     return form if form is not None and form.satisfies_theorem else None
 
 
 def rational_ab_basis(form: RationalABForm, n: int) -> OrthoBasis:
     """Normalized basis 1/||1||, z^{k-1}(z-1)/||.|| up to degree n."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
     polys = tuple(_shifted_monomials(form, range(n + 1), hp=False))
     return OrthoBasis(polys, form.symbol(), "closed-form", 0.0)
 
@@ -131,8 +134,13 @@ def compose_basis(base: OrthoBasis, N: int) -> OrthoBasis:
         for i in range(N):  # degrees N l + i come in increasing order
             deg = N * l + i
             coeffs = np.zeros(deg + 1, dtype=complex)
-            coeffs[np.arange(l + 1) * N + i] = p.coefficients
-            polys.append(OrthoPoly(deg, coeffs))
+            coeffs[i::N] = p.coefficients
+            hp = None
+            if p.hp_coefficients is not None:
+                hp = [mpmath.mpc(0)] * (deg + 1)
+                hp[i::N] = p.hp_coefficients
+                hp = tuple(hp)
+            polys.append(OrthoPoly(deg, coeffs, hp_coefficients=hp))
     if isinstance(base.symbol, SmirnovSymbol):
         try:
             new_symbol: SymbolLike = compose_monomial(base.symbol, N)

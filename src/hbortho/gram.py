@@ -8,41 +8,35 @@ conjugates its *second* argument, so for monomials with j <= k
 and the Hermitian extension <z^j, z^k> = conj(<z^k, z^j>) covers j > k.  The
 finite sum comes from pairing the conjugate-Toeplitz images of the monomials,
 since ||f||^2 in H(b) equals ||f||_2^2 + ||T f||_2^2 with T the conjugate
-symbol Toeplitz action.
+symbol Toeplitz action.  M is factored here in float64 (``schur_factor``); the
+band K of the rational form (``rational_form``, ``k_band``) is built in either
+arithmetic, for the structured solver (f64) and the oracle's hp route.
 """
 
 from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 from scipy.linalg import toeplitz
 from scipy.linalg.blas import zaxpy, zscal
 
+from .backends import to_mpc
 from .catalog import CatalogEntry
 from .symbol import SmirnovSymbol, SymbolLike
 
 
 def gram_matrix(phi: SymbolLike, n: int) -> np.ndarray:
     """The (n+1) x (n+1) Gram matrix of z^0 .. z^n, entry [j, k] = <z^j, z^k>; its
-    conjugate (= transpose) is the matrix of the orthogonality equations <., z^k>."""
+    conjugate (= transpose) is the matrix of the orthogonality equations <., z^k>.
+    O(n^2): each diagonal is one cumulative sum of conj(phi_s) phi_{s+d}, summed
+    in a fixed order, so results are bit-identical however assembly is scheduled."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return gram_entries(np.asarray(phi.taylor(n + 1), dtype=complex))
-
-
-def gram_entries(coeffs: np.ndarray) -> np.ndarray:
-    """Gram entries <z^j, z^k> from the Taylor coefficients phi_0 .. phi_n.
-
-    The element type of ``coeffs`` is the arithmetic: complex128, or an
-    object array of ``mpmath.mpc`` (call inside workprec).  Work is O(n^2):
-    along the diagonal at offset d the lemma sum telescopes, so each diagonal
-    is a single cumulative sum of conj(phi_s) phi_{s+d}.  Summation order
-    within a diagonal is fixed, which keeps results bit-identical no matter
-    how assembly is scheduled.
-    """
-    n1 = len(coeffs)
-    m = np.zeros((n1, n1), dtype=coeffs.dtype)
+    coeffs = np.asarray(phi.taylor(n + 1), dtype=complex)
+    n1 = n + 1
+    m = np.zeros((n1, n1), dtype=complex)
     conj_coeffs = np.conj(coeffs)
     for d in range(n1):
         diag = np.cumsum(conj_coeffs[: n1 - d] * coeffs[d:])
@@ -64,31 +58,29 @@ def schur_factor(coeffs: np.ndarray, pivot_floor: float = 0.0) -> np.ndarray:
     which commutes with the down-shift Z, so M - Z M Z^H = e_0 e_0^H + g g^H.
     The generalized Schur algorithm (Kailath & Sayed, SIAM Review 37, 1995)
     rotates the generator [u, v] so that v vanishes in row k; the rotated u is
-    column k of C, and Z times it is the next u.  The element type of
-    ``coeffs`` is the arithmetic: complex128, rotated by BLAS, or an object
-    array of ``mpmath.mpc`` (call inside workprec).  Raises
-    ``numpy.linalg.LinAlgError`` on a coefficient or pivot that is not finite,
-    a zero pivot, or a pivot C[k,k]^2 below ``pivot_floor`` times the largest one.
+    column k of C, and Z times it is the next u, by BLAS calls on complex128
+    ``coeffs``.  Raises ``numpy.linalg.LinAlgError`` on a coefficient or pivot
+    that is not finite, a zero pivot, or a pivot C[k,k]^2 below ``pivot_floor``
+    times the largest one.
     """
     n1 = len(coeffs)
     if not np.abs(coeffs).max() < np.inf:
         raise np.linalg.LinAlgError("Taylor coefficients are not finite")
-    buf = np.empty(n1 + n1 * (n1 + 1) // 2, dtype=coeffs.dtype)
+    buf = np.empty(n1 + n1 * (n1 + 1) // 2, dtype=complex)
     buf.fill(0)  # touch every page here: lazily zeroed pages fault inside the loop
     buf[0] = 1  # the first u, e_0, ahead of the factor; each later u is in the last column
-    rotate = _rotate_blas if buf.dtype == np.complex128 else _rotate_numpy
     v = np.conj(coeffs)
     pivots = []
     u_at, col_at = 0, n1
     for k in range(n1):
         m = n1 - k
-        a, b = buf.item(u_at), v.item(k)  # python complex in f64, so scalar work is cheap
+        a, b = buf.item(u_at), v.item(k)  # python complex, so scalar work is cheap
         abs_a, abs_b = abs(a), abs(b)
         scale = abs_a + abs_b
         if not 0 < scale < np.inf:
             raise np.linalg.LinAlgError(f"pivot {k} of the Schur factorization is {scale}")
         pivot = scale * ((abs_a / scale) ** 2 + (abs_b / scale) ** 2) ** 0.5
-        rotate(a / pivot, b / pivot, buf, u_at, col_at, v, k, m)
+        _rotate_blas(a / pivot, b / pivot, buf, u_at, col_at, v, k, m)
         buf[col_at] = pivot
         u_at, col_at = col_at, col_at + m
         pivots.append(pivot)
@@ -107,15 +99,6 @@ def _rotate_blas(c, s, buf, u_at, col_at, v, k, m) -> None:
     zaxpy(buf, v, m, -s, u_at, 1, k, 1)
 
 
-def _rotate_numpy(c, s, buf, u_at, col_at, v, k, m) -> None:
-    """``_rotate_blas`` in numpy expressions, for object arrays of mpc."""
-    u, col, w = buf[u_at : u_at + m], buf[col_at : col_at + m], v[k:]
-    np.multiply(c.conjugate(), u, out=col)
-    col += s.conjugate() * w
-    w *= c
-    w -= s * u
-
-
 def unpack_lower(packed: np.ndarray) -> np.ndarray:
     """The square lower triangular C of a factor packed as ``schur_factor`` returns it."""
     n1 = (math.isqrt(8 * len(packed) + 1) - 1) // 2
@@ -124,9 +107,10 @@ def unpack_lower(packed: np.ndarray) -> np.ndarray:
     return upper.T
 
 
-def rational_form(phi: SmirnovSymbol) -> tuple[np.ndarray, np.ndarray]:
+def rational_form(phi: SmirnovSymbol, hp: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Conjugated coefficients (conj alpha, conj beta) of phi = beta / alpha in
-    lowest terms, each of length D + 1 with D = deg alpha.
+    lowest terms, each of length D + 1 with D = deg alpha; complex128, or
+    object arrays of ``mpmath.mpc`` if ``hp`` (call inside workprec).
 
     alpha = prod_zeta (1 - conj(zeta) z)^{m_zeta}, m_zeta the highest pole
     order at zeta, so alpha_0 = 1; beta = alpha phi is a polynomial of degree
@@ -137,12 +121,30 @@ def rational_form(phi: SmirnovSymbol) -> tuple[np.ndarray, np.ndarray]:
     orders: dict[complex, int] = {}
     for t in phi.pole_terms:
         orders[t.pole] = max(orders.get(t.pole, 0), t.order)
-    alpha = np.ones(1, dtype=complex)
+    alpha = np.array([mpmath.mpc(1)], dtype=object) if hp else np.ones(1, dtype=complex)
     for pole, order in orders.items():
+        root = np.conj(to_mpc(pole) if hp else pole)
         for _ in range(order):
-            alpha = np.convolve(alpha, [1.0, -np.conj(pole)])
-    beta = np.convolve(alpha, phi.taylor(len(alpha)))[: len(alpha)]
+            alpha = np.convolve(alpha, [1.0, -root])
+    taylor = phi.taylor_mp if hp else phi.taylor
+    beta = np.convolve(alpha, taylor(len(alpha)))[: len(alpha)]
     return np.conj(alpha), np.conj(beta)
+
+
+def k_band(a: np.ndarray, b: np.ndarray, n1: int) -> np.ndarray:
+    """K = T(a) T(a)^H + T(b) T(b)^H = T(a) M T(a)^H of size n1, for (a, b) from
+    ``rational_form``, in their arithmetic and in LAPACK's lower band storage
+    k[off, j] = K[j + off, j]; K is Hermitian with half-bandwidth len(a) - 1."""
+    d = len(a) - 1
+    k = np.empty((d + 1, n1), dtype=a.dtype)
+    for off in range(d + 1):
+        # sum_{s <= j} a_{s+off} conj(a_s) + (same for b) grows while s <= d - off, then
+        # stays; the head is clipped to the n1 columns that K has when n1 <= d
+        head = np.cumsum(a[off:] * np.conj(a[: d + 1 - off]) + b[off:] * np.conj(b[: d + 1 - off]))
+        head = head[:n1]
+        k[off, : len(head)] = head
+        k[off, len(head) :] = head[-1]
+    return k
 
 
 def gram_defect(coeffs: np.ndarray, rows: np.ndarray) -> float:
@@ -159,8 +161,8 @@ def toeplitz_conj_apply(phi: SymbolLike, p: np.ndarray) -> np.ndarray:
     (T p)_m = sum_{k >= m} p_k conj(phi_{k-m}); the degree never increases.
     """
     p = np.asarray(p, dtype=complex)
-    if p.ndim != 1 or len(p) == 0:
-        raise ValueError("p must be a nonempty 1-d coefficient array")
+    if p.ndim != 1 or len(p) == 0 or not np.isfinite(p).all():
+        raise ValueError("p must be a nonempty, finite 1-d coefficient array")
     deg1 = len(p)
     cc = np.conj(phi.taylor(deg1))
     return np.convolve(p[::-1], cc)[:deg1][::-1]

@@ -8,17 +8,14 @@ the orthonormal polynomial p_k (Gram-Schmidt on the monomials, done by a
 factorization instead of sequential projections, which lose orthogonality
 catastrophically at these condition numbers).
 
-Every request factors M once, with ``gram.schur_factor``: O(n^2) work from
-the Taylor coefficients, without forming M; C comes back packed (half the
-square).  A single p_n is one triangular solve with C^T, done by BLAS
-``ztpsv`` on the packed factor; a whole basis is the triangular inverse of
-the unpacked C, taken as C^{-T} so that each p_k is the same solve.  The
-residual max |Q M Q^H - I| is never computed from C: f64 takes it from
-M = I + G G^H, hp from the Gram entries.
-
-The "hp" routes run the same factorization on mpmath numbers (numpy
-expressions where f64 calls BLAS) and unpack C; the back substitution and the
-basis residual are mpmath ``fdot`` loops.
+Every f64 request factors M once with ``gram.schur_factor`` (O(n^2) from the
+Taylor coefficients, C packed): p_n is one BLAS ``ztpsv`` solve with C^T, a
+basis the triangular inverse C^{-T} of the unpacked C.  The "hp" routes factor
+the band K = T(a) M T(a)^H of the rational form instead (``gram.k_band`` of
+``gram.rational_form(phi, hp=True)``), whose condition number does not grow
+with n: an mpmath banded Cholesky K = R R^H in O(n D^2) gives C = T(a)^{-1} R,
+and p_k = x^T T(a) from R^T x = e_k.  Both arithmetics take the residual
+max |Q M Q^H - I| of a basis from M = I + G G^H on phi's Taylor data.
 """
 
 from __future__ import annotations
@@ -118,15 +115,15 @@ def _solve(phi: SymbolLike, n: int, precision: str | None, f64_route, hp_route):
     return hp_route(phi, n)
 
 
-def _factor(coeffs: np.ndarray, pivot_floor: float = 0.0) -> np.ndarray:
+def _factor(coeffs: np.ndarray) -> np.ndarray:
     try:
-        return gram_mod.schur_factor(coeffs, pivot_floor)
+        return gram_mod.schur_factor(coeffs, PIVOT_BREAKDOWN_RATIO)
     except np.linalg.LinAlgError as exc:
         raise NumericalBreakdown(str(exc)) from exc
 
 
 def _orthopoly_f64(phi: SymbolLike, n: int) -> OrthoPoly:
-    packed = _factor(np.asarray(phi.taylor(n + 1), dtype=complex), PIVOT_BREAKDOWN_RATIO)
+    packed = _factor(np.asarray(phi.taylor(n + 1), dtype=complex))
     e_n = np.zeros(n + 1, dtype=complex)
     e_n[n] = 1.0
     # row n of C^{-1}, i.e. the solution of C^T x = e_n, on the packed factor
@@ -135,25 +132,34 @@ def _orthopoly_f64(phi: SymbolLike, n: int) -> OrthoPoly:
 
 def _orthopoly_hp(phi: SymbolLike, n: int) -> OrthoPoly:
     with workprec():
-        packed = _factor(_taylor_mp(phi, n))
-        return _inverse_row_mp(gram_mod.unpack_lower(packed).T.tolist(), n)
+        return _band_row_mp(*_band_factor_mp(phi, n + 1), n)
 
 
-def _taylor_mp(phi: SymbolLike, n: int) -> np.ndarray:
-    """phi_0 .. phi_n as an object array of mpc (inside workprec); streams raise TypeError."""
+def _band_factor_mp(phi: SymbolLike, n1: int) -> tuple[np.ndarray, np.ndarray]:
+    """(conj alpha, R) with K = R R^H in ``gram.k_band``'s lower band storage, K of
+    size n1: a banded Cholesky in mpmath (inside workprec; LAPACK takes no mpc)."""
     if not isinstance(phi, SmirnovSymbol):
         raise TypeError("the high-precision path needs a SmirnovSymbol")
-    return np.array(phi.taylor_mp(n + 1), dtype=object)
+    a, b = gram_mod.rational_form(phi, hp=True)
+    r = gram_mod.k_band(a, b, n1)
+    for j in range(n1):  # scale column j of K, then take its outer product off the rest
+        pivot = r[0, j].real
+        if not pivot > 0:
+            raise NumericalBreakdown(f"pivot {j} of the banded Cholesky of K is {pivot}")
+        col = r[:, j] = r[:, j] / mpmath.sqrt(pivot)
+        for off in range(1, min(len(a), n1 - j)):
+            r[: len(a) - off, j + off] -= col[off:] * np.conj(col[off])
+    return a, r
 
 
-def _inverse_row_mp(upper: list[list[mpmath.mpc]], k: int) -> OrthoPoly:
-    """p_k: row k of C^{-1}, by back substitution on C^T x = e_k (``upper`` = C^T, as rows)."""
-    x = [mpmath.mpc(0)] * (k + 1)
+def _band_row_mp(a: np.ndarray, r: np.ndarray, k: int) -> OrthoPoly:
+    """p_k = x^T T(a), row k of C^{-1} = R^{-1} T(a), with R^T x = e_k by back
+    substitution on the band (see ``structure.structured_solve``)."""
+    x = [mpmath.mpc(0)] * (k + len(a))  # x_i = 0 past i = k
     for i in range(k, -1, -1):
-        acc = mpmath.fdot(upper[i][i + 1 : k + 1], x[i + 1 :])
-        x[i] = ((1 if i == k else 0) - acc) / upper[i][i]
-    f64 = np.array([complex(c) for c in x], dtype=complex)
-    return OrthoPoly(k, f64, hp_coefficients=tuple(mpmath.mpc(c) for c in x))
+        x[i] = (int(i == k) - mpmath.fdot(r[1:, i], x[i + 1 : i + len(a)])) / r[0, i]
+    c = np.convolve(np.array(x[k::-1], dtype=object), a)[: k + 1][::-1]
+    return OrthoPoly(k, np.array([complex(v) for v in c]), hp_coefficients=tuple(c))
 
 
 def orthobasis(phi: SymbolLike, n: int, precision: str | None = None) -> OrthoBasis:
@@ -167,7 +173,7 @@ def orthobasis(phi: SymbolLike, n: int, precision: str | None = None) -> OrthoBa
 
 def _orthobasis_f64(phi: SymbolLike, n: int) -> OrthoBasis:
     coeffs = np.asarray(phi.taylor(n + 1), dtype=complex)
-    lower = gram_mod.unpack_lower(_factor(coeffs, PIVOT_BREAKDOWN_RATIO))
+    lower = gram_mod.unpack_lower(_factor(coeffs))
     # rows of C^{-1} as the solutions of C^T x = e_k, like orthopoly: these keep
     # the per-degree accuracy that forward substitution on the columns loses
     q = solve_triangular(lower, np.eye(n + 1), lower=True, trans="T", check_finite=False).T
@@ -177,22 +183,23 @@ def _orthobasis_f64(phi: SymbolLike, n: int) -> OrthoBasis:
 
 def _orthobasis_hp(phi: SymbolLike, n: int) -> OrthoBasis:
     with workprec():
-        coeffs = _taylor_mp(phi, n)
-        upper = gram_mod.unpack_lower(_factor(coeffs)).T.tolist()
-        polys = tuple(_inverse_row_mp(upper, k) for k in range(n + 1))
-        rows = [p.hp_coefficients for p in polys]
-        residual = float(_residual_hp(gram_mod.gram_entries(coeffs).tolist(), rows))
+        a, r = _band_factor_mp(phi, n + 1)  # K's leading blocks do not depend on n
+        polys = tuple(_band_row_mp(a, r, k) for k in range(n + 1))
+        residual = float(_residual_hp(phi.taylor_mp(n + 1), [p.hp_coefficients for p in polys]))
     return OrthoBasis(polys, phi, "hp", residual)
 
 
-def _residual_hp(m, rows) -> mpmath.mpf:
-    """max |Q M Q^H - I| over the lower triangle, from the Gram entries."""
+def _residual_hp(coeffs, rows) -> mpmath.mpf:
+    """max |Q Q^H + (Q G)(Q G)^H - I| over the lower triangle: ``gram.gram_defect``
+    on phi's Taylor data, in mpmath sums.  Row i of Q G is T p_i, with
+    (T p)_m = sum_{s >= m} p_s conj(phi_{s-m}); rows i and j meet up to min(i, j)."""
+    conj = [mpmath.conj(c) for c in coeffs]
+    t_rows = [[mpmath.fdot(p[m:], conj[: len(p) - m]) for m in range(len(p))] for p in rows]
     worst = mpmath.mpf(0)
-    for i, p in enumerate(rows):
-        # w = p M[:i+1, :i+1]; column s of M is conj(row s) by Hermitian symmetry
-        w = [mpmath.fdot(p, m[s][: i + 1], conjugate=True) for s in range(i + 1)]
-        for j, q in enumerate(rows[: i + 1]):
-            val = mpmath.fdot(w[: j + 1], q, conjugate=True)
+    for i, (p, tp) in enumerate(zip(rows, t_rows)):
+        for j in range(i + 1):
+            val = mpmath.fdot(p[: j + 1], rows[j], conjugate=True)
+            val += mpmath.fdot(tp[: j + 1], t_rows[j], conjugate=True)
             worst = max(worst, abs(val - (1 if i == j else 0)))
     return worst
 

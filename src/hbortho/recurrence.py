@@ -300,7 +300,7 @@ def _validate(data: RecurrenceData, poly: OrthoPoly) -> None:
     n = poly.degree
     top = float(np.max(np.abs(c)))
     res = recurrence_residual(data, c)
-    if not res <= 1e-9 * top:  # NaN fails
+    if not res <= 1e-9 * top < np.inf:  # NaN or inf fails before the norm check
         raise SingularBorder(f"recurrence residual {res:.3e} too large")
     phi = RationalABForm(data.A, data.B).symbol()
     norm_sq = hb_norm_squared(phi, c)

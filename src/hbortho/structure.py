@@ -234,13 +234,13 @@ def structured_solve(phi: SmirnovSymbol, n: int) -> OrthoPoly:
 
         K = T(a) T(a)^H + T(b) T(b)^H
 
-    is Hermitian and banded with half-bandwidth D = deg alpha = m.  LAPACK's
-    banded Cholesky gives K = R R^H, so M = C C^H with C = T(a)^{-1} R, and
-    p_n is row n of C^{-1} = R^{-1} T(a): c = x^T T(a) where R^T x = e_n.
-    Since a_0 = 1, c_n = x_n = 1/R[n,n] is real positive and no normalizer is
-    needed.  Work is O(n m^2) for any n >= 0.  cond(K) does not grow with n;
-    all the growth of cond(M) sits in T(a)^{-1}, which is never formed or
-    solved with.
+    (``gram.k_band``) is Hermitian and banded with half-bandwidth
+    D = deg alpha = m.  LAPACK's banded Cholesky gives K = R R^H, so
+    M = C C^H with C = T(a)^{-1} R, and p_n is row n of C^{-1} = R^{-1} T(a):
+    c = x^T T(a) where R^T x = e_n.  Since a_0 = 1, c_n = x_n = 1/R[n,n] is
+    real positive and no normalizer is needed.  Work is O(n m^2) for any
+    n >= 0.  cond(K) does not grow with n; all the growth of cond(M) sits in
+    T(a)^{-1}, which is never formed or solved with.
     """
     m = _pole_order_at_one(phi)
     if n < 0:
@@ -250,19 +250,9 @@ def structured_solve(phi: SmirnovSymbol, n: int) -> OrthoPoly:
         raise StructureRefuted(calibration.summary())
 
     a, b = gram_mod.rational_form(phi)
-    d = len(a) - 1
     n1 = n + 1
-    # lower band storage k[off, j] = K[j + off, j] = sum_{s <= j} a_{s+off} conj(a_s)
-    # + (same for b): a cumulative sum while s <= d - off, then constant; the
-    # head is clipped to the n + 1 columns that K has when n < d
-    k = np.empty((d + 1, n1), dtype=complex)
-    for off in range(d + 1):
-        head = np.cumsum(a[off:] * np.conj(a[: d + 1 - off]) + b[off:] * np.conj(b[: d + 1 - off]))
-        head = head[:n1]
-        k[off, : len(head)] = head
-        k[off, len(head) :] = head[-1]
     try:
-        r = cholesky_banded(k, lower=True, check_finite=False)
+        r = cholesky_banded(gram_mod.k_band(a, b, n1), lower=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalBreakdown(f"banded Cholesky of K failed: {exc}") from exc
     e_n = np.zeros((n1, 1), dtype=complex)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -71,6 +72,9 @@ class TestDetector:
     def test_requires_pole_at_one(self):
         phi = SmirnovSymbol(-1.0, (PoleTerm(1j, 1, 2.0),))
         assert detect_rational_ab(phi) is None
+
+    def test_stream_is_not_detected(self):
+        assert detect_rational_ab(TaylorStream(lambda n: 1.0)) is None
 
     def test_random_admissible_detected(self):
         rng = np.random.default_rng(21)
@@ -166,6 +170,12 @@ class TestPowerBasis:
         )
         assert defect < 1e-12
 
+    def test_negative_degree_rejected(self):
+        with pytest.raises(ValueError):
+            power_basis(2, -1)
+        with pytest.raises(ValueError):
+            rational_ab_basis(RationalABForm(-1, 2), -1)
+
     @pytest.mark.parametrize("N", [1, 2, 3, 4])
     def test_matches_oracle(self, N):
         closed = power_basis(N, 24)
@@ -195,6 +205,19 @@ class TestComposeBasis:
         base = orthobasis(blaschke_symbol(0.5), 5, precision="f64")
         composed = compose_basis(base, 3)
         assert [p.degree for p in composed.polys] == list(range(18))
+
+    def test_keeps_high_precision(self):
+        base = orthobasis(sarason_symbol(), 6, precision="hp")
+        composed = compose_basis(base, 2)
+        assert composed.precision == "hp"
+        with mpmath.workprec(160):
+            for p in composed.polys:
+                l, i = divmod(p.degree, 2)
+                hp = base.polys[l].hp_coefficients
+                assert len(p.hp_coefficients) == p.degree + 1
+                assert p.hp_coefficients[i::2] == hp
+                assert all(c == 0 for k, c in enumerate(p.hp_coefficients) if k % 2 != i)
+                assert np.array_equal(p.coefficients, [complex(c) for c in p.hp_coefficients])
 
     def test_higher_order_pole_composes_as_stream(self):
         # an order-2 pole has no partial-fraction composition, so the symbol

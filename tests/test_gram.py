@@ -27,11 +27,12 @@ from hbortho.gram import (
     FFT_MIN_LENGTH,
     _fft_convolve,
     _fft_length,
-    gram_entries,
+    rational_form,
     schur_factor,
     system_residual,
     unpack_lower,
 )
+from hbortho.oracle import _band_factor_mp
 
 
 def quadratic_form(gm, p, q=None):
@@ -147,6 +148,15 @@ def random_pole_symbol(rng, max_poles=3, max_order=3):
     return SmirnovSymbol(complex(rng.normal(), rng.normal()), terms)
 
 
+def lower_from_band(band, n1):
+    """The n1 x n1 lower triangular matrix held in LAPACK's lower band storage."""
+    out = np.full((n1, n1), mpmath.mpc(0), dtype=object)
+    for off in range(band.shape[0]):
+        for j in range(n1 - off):
+            out[j + off, j] = band[off, j]
+    return out
+
+
 class TestSchurFactor:
     @pytest.mark.parametrize("n", [16, 64, 256])
     def test_matches_cholesky(self, entries, n):
@@ -159,29 +169,23 @@ class TestSchurFactor:
             err = np.max(np.abs(got - ref))
             assert err <= F64_EPS * cond_bound(phi, n) * np.max(np.abs(ref)), phi
 
-    @pytest.mark.parametrize("n", [16, 64, 256])
-    def test_blas_rotations_match_numpy(self, entries, n):
-        # complex128 input takes the BLAS rotations, an object array of complex
-        # the numpy ones; a BLAS call that wrote into a copy would leave C empty
-        rng = np.random.default_rng(n)
-        symbols = [e.phi for e in entries] + [TWO_POLES]
-        symbols += [random_pole_symbol(rng) for _ in range(3)]
-        for phi in symbols:
-            coeffs = phi.taylor(n + 1)
-            ref = schur_factor(np.array(coeffs.tolist(), dtype=object)).astype(complex)
-            got = schur_factor(coeffs)
-            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), phi
-
     def test_unpack_lower(self):
         expected = [[1, 0, 0, 0], [2, 5, 0, 0], [3, 6, 8, 0], [4, 7, 9, 10]]
         assert np.array_equal(unpack_lower(np.arange(1, 11, dtype=complex)), expected)
 
-    def test_hp_reproduces_gram_entries(self, entries):
+    def test_hp_band_factor_reproduces_k(self, entries):
+        # R R^H = K = T(a) T(a)^H + T(b) T(b)^H at n = 24, K formed densely here
+        n1 = 25
         with mpmath.workprec(160):
             for phi in [e.phi for e in entries] + [TWO_POLES]:
-                coeffs = np.array(phi.taylor_mp(25), dtype=object)
-                lower = unpack_lower(schur_factor(coeffs))
-                diff = lower @ np.conj(lower.T) - gram_entries(coeffs)
+                a, r = _band_factor_mp(phi, n1)
+                b = rational_form(phi, hp=True)[1]
+                ta, tb, lower = (
+                    lower_from_band(band, n1)
+                    for band in (np.tile(a[:, None], n1), np.tile(b[:, None], n1), r)
+                )
+                k = ta @ np.conj(ta.T) + tb @ np.conj(tb.T)
+                diff = lower @ np.conj(lower.T) - k
                 assert max(abs(x) for x in diff.ravel()) < mpmath.mpf("1e-40"), phi
 
     def test_pivot_floor(self):
@@ -251,6 +255,14 @@ class TestNormFormula:
             q[n - 1] = -1.0
             expected = (abs(A) + 1 / abs(A)) ** 2
             assert abs(hb_norm_squared(phi, q) - expected) < 1e-10 * (1 + expected)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_polynomial_rejected(self, bad):
+        phi, p, one = sarason_symbol(), np.array([1.0, bad]), np.array([1.0])
+        calls = (toeplitz_conj_apply, hb_norm_squared, lambda f, q: poly_inner(f, one, q))
+        for call in calls:
+            with pytest.raises(ValueError, match="finite"):
+                call(phi, p)
 
     def test_poly_inner_matches_quadratic_form(self):
         phi = SmirnovSymbol(0.3, (PoleTerm(1.0, 1, 1.2), PoleTerm(-1.0, 1, 0.3j)))

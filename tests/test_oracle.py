@@ -24,6 +24,7 @@ from hbortho import (
     rotate_symbol,
     sarason_symbol,
 )
+from hbortho import backends
 from hbortho import gram as gram_mod
 from hbortho import oracle as oracle_mod
 from hbortho.backends import AUTO_F64_TOL, F64_EPS, cond_bound
@@ -227,7 +228,7 @@ class TestOneFactor:
             raise AssertionError("the f64 routes do not assemble the Gram matrix")
 
         monkeypatch.setattr(gram_mod, "schur_factor", counting)
-        monkeypatch.setattr(gram_mod, "gram_entries", never)
+        monkeypatch.setattr(gram_mod, "gram_matrix", never)
         orthobasis(blaschke_symbol(0.5), 40, precision="f64")
         assert calls == [(41,)]
         orthopoly(blaschke_symbol(0.5), 40, precision="f64")
@@ -258,6 +259,29 @@ class TestOneFactor:
                 for p, r in zip(basis.polys, ref):
                     diff = max(abs(x - y) for x, y in zip(p.hp_coefficients, r))
                     assert diff < mpmath.mpf("1e-30")
+
+
+class TestHighPrecision:
+    M3 = SmirnovSymbol(1.0, (PoleTerm(1.0, 1, 1.0), PoleTerm(1.0, 2, 1.0), PoleTerm(1.0, 3, 0.5)))
+
+    def test_m3_at_512_keeps_its_digits(self, monkeypatch):
+        # each coefficient against its own magnitude: the small ones are where a
+        # factorization of the dense M, conditioned by n, loses its digits
+        p = orthopoly(self.M3, 512, precision="hp")
+        monkeypatch.setattr(backends, "HP_PREC_BITS", 320)
+        ref = orthopoly(self.M3, 512, precision="hp")
+        with mpmath.workprec(320):
+            for x, y in zip(p.hp_coefficients, ref.hp_coefficients, strict=True):
+                assert abs(x - y) <= mpmath.mpf("1e-30") * abs(y)
+
+    def test_basis_residual_detects_a_scaled_row(self):
+        for phi in (blaschke_symbol(0.5), TWO_POLES):
+            basis = orthobasis(phi, 16, precision="hp")
+            rows = [p.hp_coefficients for p in basis.polys]
+            assert basis.residual <= 1e-40
+            with mpmath.workprec(160):
+                rows[9] = [c * (1 + mpmath.mpf("1e-30")) for c in rows[9]]
+                assert oracle_mod._residual_hp(phi.taylor_mp(17), rows) >= 1e-31
 
 
 class TestPackedSolve:

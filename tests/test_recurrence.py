@@ -193,6 +193,21 @@ class TestCoefficients:
         with pytest.raises(SingularBorder, match="residual"):
             coefficients_via_recurrence(build_recurrence(0.0, 1.0), 8)
 
+    @pytest.mark.parametrize("bad", [complex("nan"), complex("inf")])
+    def test_non_finite_at_degree_two_is_singular_border(self, monkeypatch, bad):
+        # below degree 3 the recurrence residual is 0; the coefficient size check
+        # still raises before the norm check, which rejects a non-finite polynomial
+        real = recurrence._simple_roots
+
+        def poisoned(*args):
+            coeffs = real(*args)
+            coeffs[0] = bad
+            return coeffs
+
+        monkeypatch.setattr(recurrence, "_simple_roots", poisoned)
+        with pytest.raises(SingularBorder, match="residual"):
+            coefficients_via_recurrence(build_recurrence(0.0, 1.0), 2)
+
     @pytest.mark.parametrize("n", list(range(2, 13)))
     def test_unit_pole_matches_oracle(self, n):
         data = build_recurrence(0.0, 1.0)

@@ -228,6 +228,20 @@ class TestDetectStructure:
         rep = detect_structure(phi, 24)
         assert 0 < rep.low_rank_rank <= rep.low_rank_rows
 
+    def test_calibration_reach(self):
+        # the calibration size 4m + 8 confirms pole-at-1 symbols of orders 1-4
+        # whose coefficients and constant term span 1e-6 to 1e6, or the constant is 0
+        rng = np.random.default_rng(28)
+
+        def value():
+            return complex(10.0 ** rng.uniform(-6, 6) * np.exp(2j * np.pi * rng.uniform()))
+
+        for _ in range(300):
+            m = int(rng.integers(1, 5))
+            const = 0.0 if rng.uniform() < 0.2 else value()
+            phi = SmirnovSymbol(const, tuple(PoleTerm(1.0, d, value()) for d in range(1, m + 1)))
+            assert detect_structure(phi, 4 * m + structure.CALIBRATION_PAD).confirmed, phi
+
 
 class TestStructuredSolve:
     def test_unit_pole_n24(self):
