@@ -70,7 +70,6 @@ from .structure import (
     structured_solve,
 )
 from .symbol import (
-    CompositionOrderError,
     PoleTerm,
     SmirnovSymbol,
     SymbolError,
@@ -84,7 +83,6 @@ from .symbol import (
 __all__ = [
     "CatalogEntry",
     "CaseBoundary",
-    "CompositionOrderError",
     "FM_NORM_LIMIT",
     "FM_NORM_RATIO",
     "NumericalBreakdown",

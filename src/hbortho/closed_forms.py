@@ -25,7 +25,7 @@ import numpy as np
 from . import gram as gram_mod
 from .backends import to_mpc, workprec
 from .oracle import OrthoBasis, OrthoPoly
-from .symbol import CompositionOrderError, PoleTerm, SmirnovSymbol, SymbolLike, compose_monomial
+from .symbol import PoleTerm, SmirnovSymbol, SymbolLike, compose_monomial
 
 #: tolerance scale for the algebraic relation conj(A) B = -(1+|A|^2)
 RELATION_TOL = 1e-12
@@ -142,10 +142,7 @@ def compose_basis(base: OrthoBasis, N: int) -> OrthoBasis:
                 hp = tuple(hp)
             polys.append(OrthoPoly(deg, coeffs, hp_coefficients=hp))
     if isinstance(base.symbol, SmirnovSymbol):
-        try:
-            new_symbol: SymbolLike = compose_monomial(base.symbol, N)
-        except CompositionOrderError:
-            new_symbol = base.symbol.stream().composed_monomial(N)
+        new_symbol: SymbolLike = compose_monomial(base.symbol, N)
     else:
         new_symbol = base.symbol.composed_monomial(N)
     return OrthoBasis(tuple(polys), new_symbol, base.precision, base.residual)

@@ -21,9 +21,12 @@ middle coefficient is real and its discriminant works out to
     disc = (2 Re t0 + |B|^2)^2 - 4 |t0|^2  >=  4 |B|^2  >  0,
 
 so for genuine (A, B) the roots are always simple, one strictly inside and
-one strictly outside the unit circle.  The double-root formulas are still
-implemented (the classification is total and synthetic data can exercise
-them), but no admissible symbol reaches that branch exactly.
+one strictly outside the unit circle.  A small discriminant ratio therefore
+never means a double root: it means |B| is small next to t0, where the roots
+nearly meet and the border system loses its accuracy, so a ratio below
+``BOUNDARY_BAND`` raises :class:`CaseBoundary` and the pair goes to the
+oracle.  ``build_recurrence`` never classifies a pair as double-root; the
+double-root formulas stay for synthetic data that satisfies their identities.
 """
 
 from __future__ import annotations
@@ -46,10 +49,7 @@ from .oracle import OrthoPoly
 
 log = logging.getLogger(__name__)
 
-#: |disc| below eps_case * (|t0|+|t1|)^2 classifies as a double root
-EPS_CASE = 1e-9
-
-#: ratios in (EPS_CASE, BOUNDARY_BAND) are ambiguous; defer to the oracle there
+#: |disc| / (|t0|+|t1|)^2 below this is ambiguous; defer to the oracle there
 BOUNDARY_BAND = 1e-6
 
 #: largest deviation of the replayed reduction, relative to its magnitude scale
@@ -94,7 +94,7 @@ class RecurrenceData:
 
     @property
     def in_boundary_band(self) -> bool:
-        return EPS_CASE < self.disc_ratio < BOUNDARY_BAND
+        return self.case_tag == CASE_SIMPLE and self.disc_ratio < BOUNDARY_BAND
 
     def characteristic(self) -> tuple[complex, complex, complex]:
         """Coefficients (z^2, z^1, z^0) of the characteristic quadratic."""
@@ -159,14 +159,12 @@ def build_recurrence(A: complex, B: complex) -> RecurrenceData:
     scale_sq = (abs(t0) + abs(t1)) ** 2
     disc_ratio = abs(disc) / scale_sq if scale_sq > 0 else 0.0
 
-    roots = double_root = None
+    roots = None
     if RationalABForm(A, B).satisfies_theorem:  # conj(t0) is the relation's left side
         case = CASE_DEGENERATE
-    elif disc_ratio <= EPS_CASE:
-        case, double_root = CASE_DOUBLE, t0 / abs(t0)
     else:
         case, roots = CASE_SIMPLE, _quadratic_roots(np.conj(t0), t1 - t0, t0, _F64)
-    return RecurrenceData(A, B, *scalars, disc, disc_ratio, case, roots, double_root)
+    return RecurrenceData(A, B, *scalars, disc, disc_ratio, case, roots, None)
 
 
 def _relation_is_exact(A: complex, B: complex) -> bool:

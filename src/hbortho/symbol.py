@@ -20,6 +20,7 @@ import cmath
 import math
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
 import mpmath
@@ -119,9 +120,8 @@ class TaylorStream:
     """Lazy stream of Taylor coefficients phi_0, phi_1, ...
 
     Wraps any ``n -> complex`` function; this is the escape hatch for symbols
-    without a partial-fraction form (monomials, stream-level compositions of
-    higher-order poles).  The cache is grow-only, so concurrent readers are
-    safe.
+    without a partial-fraction form, such as monomials.  The cache is
+    grow-only, so concurrent readers are safe.
     """
 
     def __init__(self, fn: Callable[[int], complex], label: str = "stream"):
@@ -174,38 +174,52 @@ def rotate_symbol(phi: SmirnovSymbol, gamma: float) -> SmirnovSymbol:
     return SmirnovSymbol(phi.constant_term, terms)
 
 
-class CompositionOrderError(SymbolError):
-    """Raised when a closed-form monomial composition is not available."""
-
-
 def compose_monomial(phi: SmirnovSymbol, N: int) -> SmirnovSymbol:
-    """Symbol of z -> phi(z^N) in partial-fraction form.
+    """Symbol of z -> phi(z^N) in partial-fraction form, for every pole order:
 
-    Only simple poles carry a closed-form expansion here:
+        B/(1 - conj(zeta) z^N)^m = sum_{omega^N = zeta} sum_{s <= m} B c_s/(1 - conj(omega) z)^s,
 
-        B / (1 - conj(zeta) z^N)  =  sum_{omega^N = zeta} (B/N) / (1 - conj(omega) z),
-
-    obtained from the residues of the N poles; coefficients of higher-order
-    poles would require derivatives of the residue data, so those symbols are
-    rejected -- ``phi.stream().composed_monomial(N)`` covers them at the
-    coefficient level.
+    with the exact weights c_s of ``_root_weights``, the same at every root by
+    the symmetry z -> omega z (c_1 = 1/N for m = 1).  Terms that share
+    (omega, s) are summed, and a sum that is exactly 0 is dropped.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     if N == 1:
         return phi
-    terms: list[PoleTerm] = []
+    terms: dict[tuple[complex, int], complex] = {}
     for t in phi.pole_terms:
-        if t.order != 1:
-            raise CompositionOrderError(
-                "monomial composition keeps a partial-fraction form only for "
-                "simple poles; use stream().composed_monomial(N) instead"
-            )
-        theta = cmath.phase(t.pole)
+        theta, b = cmath.phase(t.pole), t.coefficient
+        weights = _root_weights(N, t.order)
         for j in range(N):
-            omega = _unit(cmath.exp(1j * (theta + 2 * math.pi * j) / N))
-            terms.append(PoleTerm(omega, 1, t.coefficient / N))
-    return SmirnovSymbol(phi.constant_term, tuple(terms))
+            omega = _exact_axis_point(_unit(cmath.exp(1j * (theta + 2 * math.pi * j) / N)))
+            for s, w in enumerate(weights, start=1):
+                # b * 1 can flip the sign of a zero part of b, so 1/den only divides
+                c = (b * w.numerator if w.numerator != 1 else b) / w.denominator
+                terms[omega, s] = terms[omega, s] + c if (omega, s) in terms else c
+    kept = tuple(PoleTerm(z, s, c) for (z, s), c in terms.items() if c != 0)
+    return SmirnovSymbol(phi.constant_term, kept)
+
+
+def _root_weights(N: int, m: int) -> list[Fraction]:
+    """Exact c_1 .. c_m of 1/(1 - z^N)^m = sum_s c_s/(1 - z)^s + (terms regular at 1):
+    c_s is the t^(m-s) coefficient of h(t)^-m, h(t) = (1 - (1-t)^N)/t, by the
+    power recurrence for g = h^-m from g_0 = h_0^-m."""
+    h = [Fraction((-1) ** i * math.comb(N, i + 1)) for i in range(m)]
+    g = [h[0] ** -m]
+    for k in range(1, m):
+        g.append(sum(((1 - m) * i - k) * h[i] * g[k - i] for i in range(1, k + 1)) / (k * h[0]))
+    return g[::-1]
+
+
+def _exact_axis_point(z: complex) -> complex:
+    # a root within rounding of +-1 or +-i is stored as that point exactly (the
+    # N-th roots of an exact pole 1 include -1, +-i), so power-N keeps exact poles
+    if abs(z.imag) <= POLE_MODULUS_TOL:
+        return complex(round(z.real))
+    if abs(z.real) <= POLE_MODULUS_TOL:
+        return complex(0.0, round(z.imag))
+    return z
 
 
 def _unit(z: complex) -> complex:

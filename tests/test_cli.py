@@ -232,6 +232,13 @@ class TestRecurrenceCommand:
         payload = json.loads(out)
         assert "error" in payload
 
+    def test_small_b_reports_failure(self, capsys):
+        # a ratio below the band is ambiguous too, not a double root
+        code, out, _ = run_cli(capsys, ["recurrence", "--A", "1", "--B", "1e-7", "--n", "12", "--verify"])
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["case"] == "simple-roots" and "error" in payload and "verify" not in payload
+
 
 class TestStructureCommand:
     def test_json_report(self, capsys):

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import mpmath
@@ -15,6 +16,7 @@ from hbortho import (
     TaylorStream,
     blaschke_symbol,
     compose_basis,
+    compose_monomial,
     detect_rational_ab,
     fm_coefficient,
     fm_norm_b,
@@ -219,15 +221,40 @@ class TestComposeBasis:
                 assert all(c == 0 for k, c in enumerate(p.hp_coefficients) if k % 2 != i)
                 assert np.array_equal(p.coefficients, [complex(c) for c in p.hp_coefficients])
 
-    def test_higher_order_pole_composes_as_stream(self):
-        # an order-2 pole has no partial-fraction composition, so the symbol
-        # of the transported basis is the re-indexed Taylor stream
+    def test_higher_order_pole_composes_as_symbol(self):
+        # an order-2 pole keeps its partial-fraction form under z -> z^3
         phi = SmirnovSymbol(1.0, (PoleTerm(1.0, 1, 1.0), PoleTerm(-1.0, 2, 0.5)))
         composed = compose_basis(orthobasis(phi, 10, precision="f64"), 3)
-        assert isinstance(composed.symbol, TaylorStream)
-        assert np.array_equal(composed.symbol.taylor(31)[::3], phi.taylor(11))
+        assert isinstance(composed.symbol, SmirnovSymbol)
+        gap = np.abs(composed.symbol.taylor(31)[::3] - phi.taylor(11))
+        assert np.max(gap) <= 1e-14 * np.max(np.abs(phi.taylor(11)))
         polys = [p.coefficients for p in composed.polys]
         assert orthonormality_defect(composed.symbol, polys) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "phi",
+        [
+            SmirnovSymbol(1.0, (PoleTerm(1.0, 1, 1.0), PoleTerm(-1.0, 2, 0.5))),
+            SmirnovSymbol(1.0, (PoleTerm(1.0, 1, 1.0), PoleTerm(cmath.exp(0.7j), 3, 0.5 - 0.25j))),
+        ],
+        ids=["order-2", "order-3"],
+    )
+    @pytest.mark.parametrize("N", [2, 3, 4])
+    def test_higher_order_transport_matches_composed_symbol(self, phi, N):
+        # the transported basis of phi is the basis of phi(z^N), in f64 and in hp
+        top = 18 // N * N - 1  # composed degrees 0..top come from base degrees < 18 // N
+        for precision in ("f64", "hp"):
+            composed = compose_basis(orthobasis(phi, 18 // N - 1, precision=precision), N)
+            ref = orthobasis(compose_monomial(phi, N), top, precision=precision)
+            assert [p.degree for p in composed.polys] == list(range(top + 1))
+            for p, q in zip(composed.polys, ref.polys):
+                assert np.max(np.abs(p.coefficients - q.coefficients)) <= 1e-12 * np.max(np.abs(q.coefficients))
+            if precision == "hp":
+                with mpmath.workprec(160):
+                    for p, q in zip(composed.polys, ref.polys):
+                        top_q = max(abs(c) for c in q.hp_coefficients)
+                        gap = max(abs(a - b) for a, b in zip(p.hp_coefficients, q.hp_coefficients))
+                        assert gap <= mpmath.mpf("1e-12") * top_q
 
 
 class TestDirichletFamily:

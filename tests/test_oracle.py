@@ -274,6 +274,19 @@ class TestHighPrecision:
             for x, y in zip(p.hp_coefficients, ref.hp_coefficients, strict=True):
                 assert abs(x - y) <= mpmath.mpf("1e-30") * abs(y)
 
+    def test_singular_k_is_breakdown(self, monkeypatch):
+        # conj(alpha)_0 = 0 and conj(beta) = 0 make K singular: the first hp pivot is 0
+        real = gram_mod.rational_form
+
+        def singular(phi, hp=False):
+            alpha, beta = real(phi, hp=hp)
+            alpha[0] = 0 * alpha[0]
+            return alpha, 0 * beta
+
+        monkeypatch.setattr(gram_mod, "rational_form", singular)
+        with pytest.raises(NumericalBreakdown, match="pivot 0"):
+            orthopoly(self.M3, 20, precision="hp")
+
     def test_basis_residual_detects_a_scaled_row(self):
         for phi in (blaschke_symbol(0.5), TWO_POLES):
             basis = orthobasis(phi, 16, precision="hp")

@@ -264,6 +264,16 @@ class TestCoefficients:
         with pytest.raises(CaseBoundary):
             coefficients_via_recurrence(data, 8)
 
+    @pytest.mark.parametrize("B", [1e-5, 1e-6, 1e-7])
+    def test_small_b_is_boundary_not_double_root(self, B):
+        # disc >= 4|B|^2 > 0, so a ratio (here about |B|^2/2) below the band
+        # means nearly merged roots, never a double root: the oracle serves it
+        data = build_recurrence(1.0, B)
+        assert data.case_tag == CASE_SIMPLE and data.disc_ratio < 1e-9
+        assert data.in_boundary_band
+        with pytest.raises(CaseBoundary):
+            coefficients_via_recurrence(data, 12)
+
     def test_hp_matches_hp_oracle(self):
         # the first two border systems are ill-conditioned enough that a
         # solver with a singularity threshold refuses them

@@ -296,6 +296,16 @@ class TestStructuredSolve:
         with pytest.raises(NumericalBreakdown, match="Cholesky"):
             structured_solve(phi, 20)
 
+    def test_non_finite_solve_is_breakdown(self, monkeypatch):
+        monkeypatch.setattr(structure, "ztbtrs", lambda r, e, **kw: (np.full_like(e, np.nan), 0))
+        with pytest.raises(NumericalBreakdown, match="non-finite"):
+            structured_solve(double_pole_symbol(1.0, 1.0, 1.0), 20)
+
+    def test_large_residual_is_breakdown(self, monkeypatch):
+        monkeypatch.setattr(structure, "system_residual", lambda phi, c: 1e-5)
+        with pytest.raises(NumericalBreakdown, match="residual"):
+            structured_solve(double_pole_symbol(1.0, 1.0, 1.0), 20)
+
     def test_refuted_calibration_raises(self, monkeypatch):
         rep = detect_structure(unit_pole(), 12)
         broken = dataclasses.replace(rep, confirmed=False)

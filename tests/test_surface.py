@@ -14,7 +14,6 @@ import hbortho
 SURFACE = {
     "CaseBoundary": (ArithmeticError,),
     "CatalogEntry": ("name", "b", "a", "phi", "parameters"),
-    "CompositionOrderError": (hbortho.SymbolError,),
     "FM_NORM_LIMIT": float,
     "FM_NORM_RATIO": float,
     "NumericalBreakdown": (ArithmeticError,),

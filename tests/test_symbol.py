@@ -1,6 +1,8 @@
 import cmath
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,18 +10,19 @@ from hypothesis import strategies as st
 
 from conftest import eval_symbol
 from hbortho import (
-    CompositionOrderError,
     PoleTerm,
     SmirnovSymbol,
     SymbolError,
     TaylorStream,
     compose_monomial,
     format_symbol,
+    orthopoly,
     parse_symbol,
+    power_symbol,
     rotate_symbol,
     sarason_symbol,
 )
-from hbortho.symbol import parse_complex
+from hbortho.symbol import _root_weights, _unit, parse_complex
 
 
 def single_pole(A, B, zeta=1.0, order=1):
@@ -167,13 +170,84 @@ class TestComposition:
                 composed.taylor(200), reindexed.taylor(200), atol=1e-10
             )
 
-    def test_higher_order_rejected(self):
+    def test_higher_order_composes(self):
+        # 1/(1-z^2)^2 = sum over z = +-1 of (1/4)/(1 -+ z) + (1/4)/(1 -+ z)^2
         phi = single_pole(0.0, 1.0, order=2)
-        with pytest.raises(CompositionOrderError):
-            compose_monomial(phi, 2)
-        # the stream-level route still works
+        composed = compose_monomial(phi, 2)
+        assert sorted((t.pole.real, t.order, t.coefficient) for t in composed.pole_terms) == [
+            (-1.0, 1, 0.25), (-1.0, 2, 0.25), (1.0, 1, 0.25), (1.0, 2, 0.25)
+        ]
+        # the stream-level route still works, and agrees
         stream = phi.stream().composed_monomial(2)
         assert np.allclose(stream.taylor(6), [1, 0, 2, 0, 3, 0])
+        assert np.allclose(composed.taylor(6), stream.taylor(6), atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "N, m, weights",
+        [(2, 2, ("1/4", "1/4")), (2, 3, ("3/16", "3/16", "1/8")), (3, 2, ("2/9", "1/9")), (5, 1, ("1/5",))],
+    )
+    def test_root_weights_are_exact(self, N, m, weights):
+        # c_1 .. c_m of 1/(1 - z^N)^m at the root 1, in rational arithmetic
+        assert _root_weights(N, m) == [Fraction(w) for w in weights]
+
+    def test_order_one_is_the_residue_formula(self):
+        # order-1 terms are B/N at the N roots, bit for bit (signed zeros included),
+        # the roots computed from the pole's phase; only a root on an axis is exact
+        rng = np.random.default_rng(29)
+        symbols = [
+            SmirnovSymbol(-1.0, (PoleTerm(cmath.exp(0.3j), 1, b),))
+            for b in (complex(2, -0.0), complex(-0.0, -1), complex(0.0, 1))
+        ]
+        for _ in range(300):
+            poles = np.exp(1j * rng.uniform(-math.pi, math.pi, int(rng.integers(1, 4))))
+            terms = tuple(PoleTerm(zeta, 1, complex(*rng.normal(size=2))) for zeta in poles)
+            symbols.append(SmirnovSymbol(complex(*rng.normal(size=2)), terms))
+        for phi in symbols:
+            for N in (2, 3, 5):
+                expected = [
+                    (_unit(cmath.exp(1j * (cmath.phase(t.pole) + 2 * math.pi * j) / N)), t.coefficient / N)
+                    for t in phi.pole_terms
+                    for j in range(N)
+                ]
+                got = compose_monomial(phi, N).pole_terms
+                assert [repr((t.pole, t.coefficient)) for t in got] == [repr(e) for e in expected]
+                assert all(t.order == 1 for t in got)
+
+    def test_roots_on_the_axes_are_exact(self):
+        assert [t.pole for t in power_symbol(2).pole_terms] == [1, -1]
+        assert [t.pole for t in power_symbol(4).pole_terms] == [1, 1j, -1, -1j]
+        # so hp p_5 of power-2 is the real (z^5 - z^3)/2
+        p5 = orthopoly(power_symbol(2), 5, precision="hp").hp_coefficients
+        assert all(mpmath.im(c) == 0 for c in p5)
+
+    def test_taylor_data_is_the_reindexed_base(self):
+        # 60 symbols, 1-2 poles anywhere of orders 1-3, at 400 coefficients
+        rng = np.random.default_rng(2901)
+        worst = 0.0
+        for _ in range(60):
+            terms = tuple(
+                PoleTerm(cmath.exp(1j * rng.uniform(-math.pi, math.pi)), int(rng.integers(1, 4)),
+                         complex(*rng.normal(size=2)))
+                for _ in range(int(rng.integers(1, 3)))
+            )
+            phi = SmirnovSymbol(complex(*rng.normal(size=2)), terms)
+            N = int(rng.integers(2, 5))
+            composed = compose_monomial(phi, N).taylor(400)
+            reindexed = np.zeros(400, dtype=complex)
+            reindexed[::N] = phi.taylor(len(reindexed[::N]))
+            worst = max(worst, np.max(np.abs(composed - reindexed)) / np.max(np.abs(reindexed)))
+        assert worst <= 1e-12
+
+    def test_shared_terms_merge_and_cancel(self):
+        # two terms at one pole give (omega, s) twice; opposite sums are dropped
+        phi = SmirnovSymbol(0.0, (PoleTerm(1.0, 1, 0.25), PoleTerm(1.0, 2, -1.0)))
+        composed = compose_monomial(phi, 2)
+        # 0.25/(1-z^2) - 1/(1-z^2)^2: order-1 weights 1/8 - 1/4, order-2 weights -1/4
+        assert sorted((t.pole.real, t.order, t.coefficient) for t in composed.pole_terms) == [
+            (-1.0, 1, -0.125), (-1.0, 2, -0.25), (1.0, 1, -0.125), (1.0, 2, -0.25)
+        ]
+        cancel = SmirnovSymbol(0.0, (PoleTerm(1.0, 1, 0.5), PoleTerm(1.0, 2, -1.0)))
+        assert [t.order for t in compose_monomial(cancel, 2).pole_terms] == [2, 2]
 
 
 class TestBinomialExpansion:
